@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id(s), comma-separated: fig1,fig4,fig5,fig14,fig14full,fig15,fig16,fig17,fig18, ablation-cache,ablation-dbcache,ablation-simcost,ablation-latency,ablation-vector,ablation-parallel,ablation-bootstrap,ablation-ibdpipe,ablation-reorg,ablation-shards,ablation-overhead,ablation-admission,ablation-relay, related-proofs,net-ibd; 'all' = figures, 'everything' = figures+ablations")
+		exp      = flag.String("exp", "all", "experiment id(s), comma-separated: fig1,fig4,fig5,fig14,fig14full,fig15,fig16,fig17,fig18, ablation-cache,ablation-dbcache,ablation-simcost,ablation-latency,ablation-vector,ablation-parallel,ablation-bootstrap,ablation-ibdpipe,ablation-reorg,ablation-shards,ablation-overhead,ablation-admission,ablation-relay,ablation-light, related-proofs,net-ibd; 'all' = figures, 'everything' = figures+ablations")
 		blocks   = flag.Int("blocks", 0, "chain height (default preset)")
 		txScale  = flag.Float64("txscale", 0, "tx-per-block scale factor (default preset)")
 		seed     = flag.Int64("seed", 1, "workload seed")

@@ -115,7 +115,7 @@ func (e *Env) AblationOverhead(w io.Writer) error {
 				return 0, err
 			}
 			st.spends = overheadSpends(blk, st.spends)
-			st.probes = n.Status.IsUnspentBatchInto(st.spends, st.probes)
+			st.probes, _, _ = n.Status.IsUnspentBatchInto(st.spends, st.probes)
 			d := time.Since(t0)
 			if err := checkProbes(st.probes); err != nil {
 				return 0, err
@@ -130,7 +130,7 @@ func (e *Env) AblationOverhead(w io.Writer) error {
 			}
 			st.spends = overheadSpends(blk, st.spends)
 			t0 := time.Now()
-			st.probes = n.Status.IsUnspentBatchInto(st.spends, st.probes)
+			st.probes, _, _ = n.Status.IsUnspentBatchInto(st.spends, st.probes)
 			d := time.Since(t0)
 			if err := checkProbes(st.probes); err != nil {
 				return 0, err

@@ -18,13 +18,15 @@ import (
 // header-backed Existence Validation, bit-vector Unspent Validation,
 // and proof-carried Script Validation. Its only state is the header
 // chain and the in-memory bit-vector set — nothing on the validation
-// path touches disk.
+// path touches disk. Every entry point — ConnectBlock, Preverify and
+// ConnectPreverified, ValidateTx and ValidateTxsBatch — runs the one
+// validation kernel (kernel.go): the per-tx verifier, then the ordered
+// reducer with the status database as its UV oracle.
 type EBVValidator struct {
 	status         *statusdb.DB
 	engine         *script.Engine
 	headers        HeaderSource
-	parallel       int
-	pipeline       int
+	workers        int
 	vcache         *vcache.Cache
 	blockOutputsFn BlockOutputsFunc
 }
@@ -32,31 +34,16 @@ type EBVValidator struct {
 // EBVOption configures an EBVValidator.
 type EBVOption func(*EBVValidator)
 
-// WithParallelSV runs Script Validation for a block's inputs on up to
-// workers goroutines. The paper closes by noting that SV dominates
-// EBV's remaining validation time and names its optimization as future
-// work (§VI-D); unlike the baseline — whose hot path serializes on the
-// status database — EBV's SV inputs are mutually independent, so they
-// parallelize trivially. workers <= 1 keeps the sequential path.
-//
-// Superseded by WithParallelValidation, which also parallelizes the
-// per-input Existence Validation; WithParallelSV remains for the
-// script-only ablation.
-func WithParallelSV(workers int) EBVOption {
-	return func(v *EBVValidator) { v.parallel = workers }
-}
-
-// WithParallelValidation runs the full proof-verification pipeline on
-// up to workers goroutines: every transaction's consistency binding,
-// sighash, and per-input EV (leaf hash + Merkle fold against the
-// stored header) and SV run concurrently, while UV, duplicate-spend
-// detection, maturity, and value conservation run in a sequential
-// reduce over the worker verdicts. Acceptance, rejection, and the
-// reported error are bit-for-bit identical to the sequential path
-// regardless of scheduling (see connectBlockParallel). workers <= 1
-// keeps the sequential path.
+// WithParallelValidation runs the kernel's per-tx verifier —
+// consistency binding, sighash, and per-input EV (leaf hash + Merkle
+// fold against the stored header) and SV — for a block's transactions
+// on up to workers goroutines, the paper's future-work direction of
+// optimizing SV (§VI-D). The ordered reducer (UV, duplicate spends,
+// maturity, value conservation) stays sequential, so acceptance,
+// rejection, and the reported error are identical at every width.
+// workers <= 1 verifies on the calling goroutine.
 func WithParallelValidation(workers int) EBVOption {
-	return func(v *EBVValidator) { v.pipeline = workers }
+	return func(v *EBVValidator) { v.workers = workers }
 }
 
 // WithVerificationCache installs a verified-proof cache: inputs whose
@@ -66,9 +53,8 @@ func WithParallelValidation(workers int) EBVOption {
 // skip the EV Merkle fold and the SV script execution. UV, duplicate-
 // spend detection, maturity, and value conservation always run live:
 // they depend on mutable chain state a past verdict cannot speak for.
-// Both ConnectBlock paths consult the cache; ValidateInput (and so
-// mempool admission via ValidateTx) consults and populates it, which
-// is what pre-warms block validation on the relay path.
+// Every entry point consults and populates the cache, so mempool
+// admission pre-warms block validation on the relay path.
 func WithVerificationCache(c *vcache.Cache) EBVOption {
 	return func(v *EBVValidator) { v.vcache = c }
 }
@@ -115,84 +101,10 @@ func (v *EBVValidator) cacheKey(body *txmodel.InputBody, sigHash hashx.Hash) (vc
 	return vcache.Key(hashx.Sum(buf[:])), true
 }
 
-// cacheProbe consults the verified-proof cache for one input. A true
-// hit additionally requires the body's relative index to be in range
-// (an out-of-range index can never have been inserted, but the full
-// path owns that error message). The probe time is charged to EV —
-// the phase a hit replaces.
-func (v *EBVValidator) cacheProbe(key vcache.Key, body *txmodel.InputBody, bd *Breakdown) (*txmodel.TxOut, bool) {
-	w := newStopwatch()
-	hit := v.vcache.Contains(key)
-	var out *txmodel.TxOut
-	if hit {
-		out, hit = body.SpentOutput()
-	}
-	w.lap(&bd.EV)
-	if hit {
-		bd.CacheHits++
-	} else {
-		bd.CacheMisses++
-	}
-	return out, hit
-}
-
-// ValidateInput checks one input body against the chain state: EV via
-// the Merkle branch, UV via the bit vector, SV via the script engine.
-// It is the unit the paper's transaction validation (§IV-D1) builds
-// on; ConnectBlock calls it for every input with shared bookkeeping.
-// With a verification cache installed, a hit skips the EV fold and the
-// script execution (UV stays live), and a fully successful uncached
-// check inserts its key — this is the mempool-admission path that
-// pre-warms block validation.
-func (v *EBVValidator) ValidateInput(body *txmodel.InputBody, sigHash hashx.Hash, bd *Breakdown) error {
-	key, keyOK := v.cacheKey(body, sigHash)
-	if keyOK {
-		if _, hit := v.cacheProbe(key, body, bd); hit {
-			w := newStopwatch()
-			err := v.uvInput(body)
-			w.lap(&bd.UV)
-			return err
-		}
-	}
-	out, err := v.validateInputEVUV(body, bd)
-	if err != nil {
-		return err
-	}
-	w := newStopwatch()
-	// SV: unlocking script against the ELs-carried locking script.
-	if err := v.engine.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
-		w.lap(&bd.SV)
-		return fmt.Errorf("%w: %v", ErrScriptFailed, err)
-	}
-	w.lap(&bd.SV)
-	if keyOK {
-		v.vcache.Add(key)
-	}
-	return nil
-}
-
-// validateInputEVUV performs Existence and Unspent Validation for one
-// input and returns the spent output for the Script Validation step.
-func (v *EBVValidator) validateInputEVUV(body *txmodel.InputBody, bd *Breakdown) (*txmodel.TxOut, error) {
-	w := newStopwatch()
-	out, err := v.evInput(body)
-	w.lap(&bd.EV)
-	if err != nil {
-		return nil, err
-	}
-	err = v.uvInput(body)
-	w.lap(&bd.UV)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // evInput performs Existence Validation for one input: fold the branch
 // from the ELs leaf, compare against the stored header of the named
 // height, and extract the spent output. It reads only immutable chain
-// state, so the parallel pipeline calls it from worker goroutines;
-// both paths share it so they report identical errors.
+// state, so the verifier calls it from worker goroutines.
 func (v *EBVValidator) evInput(body *txmodel.InputBody) (*txmodel.TxOut, error) {
 	hdr, ok := v.headers.Header(body.Height)
 	if !ok {
@@ -209,122 +121,6 @@ func (v *EBVValidator) evInput(body *txmodel.InputBody) (*txmodel.TxOut, error) 
 	return out, nil
 }
 
-// uvInput performs Unspent Validation for one input: probe the bit at
-// the derived absolute position.
-func (v *EBVValidator) uvInput(body *txmodel.InputBody) error {
-	unspent, err := v.status.IsUnspent(body.Height, body.AbsPosition())
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProof, err)
-	}
-	if !unspent {
-		return fmt.Errorf("%w: height %d position %d", ErrSpentOutput, body.Height, body.AbsPosition())
-	}
-	return nil
-}
-
-// uvProbes holds one block's batched Unspent Validation answers, in
-// the scan order of collectSpends. Nothing mutates the status database
-// between a block's probes and its commit, so probing everything up
-// front in one batch (grouped per shard, probed concurrently for
-// large blocks) returns exactly what per-input IsUnspent calls at
-// scan time would; check surfaces each verdict with uvInput's error
-// mapping, preserving error selection input for input.
-type uvProbes struct {
-	spends []statusdb.Spend
-	res    []statusdb.ProbeResult
-}
-
-// scratchSpends returns the spend buffer for one block's scan — from
-// the ingest scratch when available, freshly allocated otherwise.
-func scratchSpends(s *ingest.Scratch, n int) []statusdb.Spend {
-	if s != nil {
-		return s.Spends(n)
-	}
-	return make([]statusdb.Spend, 0, n)
-}
-
-// scratchSeen returns the duplicate-spend map for one block's scan.
-func scratchSeen(s *ingest.Scratch, n int) map[statusdb.Spend]struct{} {
-	if s != nil {
-		return s.Seen()
-	}
-	return make(map[statusdb.Spend]struct{}, n)
-}
-
-// collectSpends flattens the block's spends in validation scan order:
-// every non-coinbase transaction's bodies, in block order. The
-// coinbase is skipped — its bodies (it should have none) are never
-// examined by the scan either.
-func collectSpends(b *blockmodel.EBVBlock, s *ingest.Scratch) []statusdb.Spend {
-	spends := scratchSpends(s, b.TotalInputs())
-	for ti, tx := range b.Txs {
-		if ti == 0 {
-			continue
-		}
-		for bi := range tx.Bodies {
-			body := &tx.Bodies[bi]
-			spends = append(spends, statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()})
-		}
-	}
-	return spends
-}
-
-// probeUV runs the block's batched Unspent Validation — one shard-
-// grouped batch for the whole block instead of one lock round trip
-// per input — charging the probe pass to the UV counter. With a
-// scratch, the result buffer is recycled across blocks.
-func (v *EBVValidator) probeUV(spends []statusdb.Spend, bd *Breakdown, s *ingest.Scratch) uvProbes {
-	w := newStopwatch()
-	var res []statusdb.ProbeResult
-	if s != nil {
-		res = v.status.IsUnspentBatchInto(spends, s.Probes(len(spends)))
-	} else {
-		res = v.status.IsUnspentBatch(spends)
-	}
-	w.lap(&bd.UV)
-	return uvProbes{spends: spends, res: res}
-}
-
-// check returns input i's UV verdict with uvInput's exact error text.
-func (p *uvProbes) check(i int) error {
-	r := p.res[i]
-	if r.Err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProof, r.Err)
-	}
-	if !r.Unspent {
-		return fmt.Errorf("%w: height %d position %d", ErrSpentOutput, p.spends[i].Height, p.spends[i].Pos)
-	}
-	return nil
-}
-
-// svTask is one deferred script validation.
-type svTask struct {
-	unlock, lock []byte
-	sigHash      hashx.Hash
-	tx, input    int
-}
-
-// runParallelSV executes the deferred script validations on
-// v.parallel workers. Failure selection is deterministic: runWorkers
-// guarantees every task at or below the lowest failing index ran, so
-// the scan below always reports the same (lowest-index) error for the
-// same task list, regardless of goroutine scheduling.
-func (v *EBVValidator) runParallelSV(tasks []svTask) error {
-	errs := make([]error, len(tasks))
-	runWorkers(v.parallel, len(tasks), func(i int) bool {
-		t := &tasks[i]
-		errs[i] = v.engine.Execute(t.unlock, t.lock, t.sigHash)
-		return errs[i] == nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			t := &tasks[i]
-			return fmt.Errorf("tx %d input %d: %w: %v", t.tx, t.input, ErrScriptFailed, err)
-		}
-	}
-	return nil
-}
-
 // ConnectBlock fully validates b as the next block and applies its
 // effect to the bit-vector set. On failure the set is untouched.
 func (v *EBVValidator) ConnectBlock(b *blockmodel.EBVBlock) (*Breakdown, error) {
@@ -336,175 +132,18 @@ func (v *EBVValidator) ConnectBlock(b *blockmodel.EBVBlock) (*Breakdown, error) 
 // buffers are recycled from it instead of heap-allocated, which is
 // what makes a warm (cache-hitting) connect run allocation-free. The
 // scratch must not serve another in-flight block concurrently; b may
-// be a block previously decoded with the same scratch.
+// be a block previously decoded with the same scratch. It is Preverify
+// and ConnectPreverified back to back on the caller's state.
 func (v *EBVValidator) ConnectBlockIn(b *blockmodel.EBVBlock, s *ingest.Scratch) (*Breakdown, error) {
-	if v.pipeline > 1 {
-		return v.connectBlockParallel(b, s)
+	pv, err := v.preverify(b, v.workers, true)
+	if err != nil {
+		return &pv.bd, err
 	}
-	bd := &Breakdown{Txs: len(b.Txs), Inputs: b.TotalInputs(), Outputs: b.TotalOutputs()}
-	w := newStopwatch()
-
-	if err := v.checkStructure(b); err != nil {
-		w.lap(&bd.Other)
-		return bd, err
-	}
-	w.lap(&bd.Other)
-
-	// UV runs as one batched probe — shard-grouped status-database
-	// reads for the whole block — whose per-input verdicts the scan
-	// below consumes in order, so error selection is unchanged.
-	uv := v.probeUV(collectSpends(b, s), bd, s)
-	idx := 0
-	seen := scratchSeen(s, bd.Inputs)
-	var totalFees uint64
-	var deferred []svTask // parallel-SV mode: scripts checked after the scan
-	w = newStopwatch()
-
-	for ti, tx := range b.Txs {
-		if ti == 0 {
-			w.lap(&bd.Other)
-			continue // coinbase checked in structure + subsidy rule
-		}
-		if tx.Tidy.IsCoinbase() {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d", ErrExtraCoinbase, ti)
-		}
-		// Bind the transported bodies to the Merkle-committed tidy tx.
-		if err := tx.Consistent(); err != nil {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d: %v", ErrBadProof, ti, err)
-		}
-		sigHash := tx.SigHash()
-		w.lap(&bd.Other)
-
-		var inSum uint64
-		for bi := range tx.Bodies {
-			body := &tx.Bodies[bi]
-			sp := uv.spends[idx]
-			if _, dup := seen[sp]; dup {
-				w.lap(&bd.UV)
-				return bd, fmt.Errorf("%w: height %d position %d", ErrDuplicateSpend, sp.Height, sp.Pos)
-			}
-			seen[sp] = struct{}{}
-			w.lap(&bd.UV)
-
-			// Verified-proof cache: a hit skips the EV fold and the
-			// script execution below; the UV verdict and everything
-			// after it still apply — they read mutable chain state.
-			key, keyOK := v.cacheKey(body, sigHash)
-			var out *txmodel.TxOut
-			hit := false
-			if keyOK {
-				out, hit = v.cacheProbe(key, body, bd)
-			}
-			if hit {
-				if err := uv.check(idx); err != nil {
-					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
-				}
-			} else {
-				ew := newStopwatch()
-				var err error
-				out, err = v.evInput(body)
-				ew.lap(&bd.EV)
-				if err != nil {
-					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
-				}
-				if err := uv.check(idx); err != nil {
-					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
-				}
-				if v.parallel > 1 {
-					// Deferred SV: the verdict is unknown here, so the
-					// key is not inserted for this input.
-					deferred = append(deferred, svTask{
-						unlock: body.UnlockScript, lock: out.LockScript,
-						sigHash: sigHash, tx: ti, input: bi,
-					})
-				} else {
-					sw := newStopwatch()
-					if err := v.engine.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
-						sw.lap(&bd.SV)
-						return bd, fmt.Errorf("tx %d input %d: %w: %v", ti, bi, ErrScriptFailed, err)
-					}
-					sw.lap(&bd.SV)
-					if keyOK {
-						v.vcache.Add(key)
-					}
-				}
-			}
-			// The EV/UV/SV work above was timed by its own stopwatches;
-			// restart the outer clock so Other does not count it again.
-			w = newStopwatch()
-
-			// Maturity: the ELs reveals whether the spent output came
-			// from a coinbase (a tidy tx with no inputs).
-			if body.PrevTx.IsCoinbase() && b.Header.Height-body.Height < txmodel.CoinbaseMaturity {
-				w.lap(&bd.Other)
-				return bd, fmt.Errorf("%w: tx %d input %d", ErrImmature, ti, bi)
-			}
-			if inSum+out.Value < inSum {
-				w.lap(&bd.Other)
-				return bd, fmt.Errorf("%w: tx %d", ErrOverflow, ti)
-			}
-			inSum += out.Value
-			idx++
-			w.lap(&bd.Other)
-		}
-
-		outSum, ok := tx.OutputSum()
-		if !ok {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d", ErrOverflow, ti)
-		}
-		if outSum > inSum {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d spends %d, creates %d", ErrValueImbalance, ti, inSum, outSum)
-		}
-		fee := inSum - outSum
-		if totalFees+fee < totalFees {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: fees", ErrOverflow)
-		}
-		totalFees += fee
-		w.lap(&bd.Other)
-	}
-
-	cbSum, ok := b.Txs[0].OutputSum()
-	if !ok {
-		w.lap(&bd.Other)
-		return bd, fmt.Errorf("%w: coinbase", ErrOverflow)
-	}
-	if cbSum > blockmodel.Subsidy(b.Header.Height)+totalFees {
-		w.lap(&bd.Other)
-		return bd, fmt.Errorf("%w: claims %d, allowed %d", ErrBadSubsidy, cbSum, blockmodel.Subsidy(b.Header.Height)+totalFees)
-	}
-	w.lap(&bd.Other)
-
-	// Parallel-SV mode: run the deferred script checks now, charging
-	// the wall-clock time of the parallel phase to SV.
-	if len(deferred) > 0 {
-		sw := newStopwatch()
-		err := v.runParallelSV(deferred)
-		sw.lap(&bd.SV)
-		if err != nil {
-			return bd, err
-		}
-		w = newStopwatch()
-	}
-
-	// Status update: insert the block's all-ones vector, clear the
-	// spent bits (paper §IV-E1). Counted under Other — it is block
-	// storage work, not input checking. Every input passed, so the
-	// collected spends are exactly the spends to apply.
-	if err := v.status.Connect(b.Header.Height, bd.Outputs, uv.spends); err != nil {
-		w.lap(&bd.Other)
-		return bd, fmt.Errorf("%w: %v", ErrInvalidBlock, err)
-	}
-	w.lap(&bd.Other)
-	return bd, nil
+	return v.connect(b, pv, s)
 }
 
-// checkLink verifies b extends the header source's tip. It is part of
-// checkStructure, and ConnectPreverified re-runs it alone against the
+// checkLink verifies b extends the header source's tip. Preverify runs
+// it ahead of checkBody, and ConnectPreverified re-runs it against the
 // committed chain — the header view a Preverify saw may have included
 // speculative, since-discarded predecessors.
 func (v *EBVValidator) checkLink(b *blockmodel.EBVBlock) error {
@@ -525,10 +164,10 @@ func (v *EBVValidator) checkLink(b *blockmodel.EBVBlock) error {
 	return nil
 }
 
-func (v *EBVValidator) checkStructure(b *blockmodel.EBVBlock) error {
-	if err := v.checkLink(b); err != nil {
-		return err
-	}
+// checkBody is the block structure check short of the tip link:
+// coinbase first, the output cap, proof of work, stake positions, and
+// the Merkle root over the tidy leaves.
+func (v *EBVValidator) checkBody(b *blockmodel.EBVBlock) error {
 	if len(b.Txs) == 0 || !b.Txs[0].Tidy.IsCoinbase() {
 		return ErrNoCoinbase
 	}
@@ -548,51 +187,97 @@ func (v *EBVValidator) checkStructure(b *blockmodel.EBVBlock) error {
 }
 
 // ValidateTx checks a standalone EBV transaction against the current
-// chain state (mempool admission): proof consistency plus EV/UV/SV for
-// every input and value conservation. It does not mutate the status
+// chain state (mempool admission): ValidateTxsBatch with one
+// transaction, on the calling goroutine. It does not mutate the status
 // database.
 func (v *EBVValidator) ValidateTx(tx *txmodel.EBVTx) error {
-	if tx.Tidy.IsCoinbase() {
-		return ErrStandaloneCoinbase
-	}
-	if err := tx.Consistent(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProof, err)
-	}
-	var bd Breakdown
-	sigHash := tx.SigHash()
-	seen := make(map[statusdb.Spend]struct{}, len(tx.Bodies))
-	nextHeight := uint64(0)
-	if tip, ok := v.headers.TipHeight(); ok {
-		nextHeight = tip + 1
-	}
-	var inSum uint64
-	for i := range tx.Bodies {
-		body := &tx.Bodies[i]
-		sp := statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()}
-		if _, dup := seen[sp]; dup {
-			return fmt.Errorf("%w: input %d", ErrDuplicateSpend, i)
-		}
-		seen[sp] = struct{}{}
-		if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-			return fmt.Errorf("input %d: %w", i, err)
-		}
-		// Maturity at the earliest height this transaction could be
-		// mined — the same rule ConnectBlock enforces.
-		if body.PrevTx.IsCoinbase() && nextHeight-body.Height < txmodel.CoinbaseMaturity {
-			return fmt.Errorf("%w: input %d", ErrImmature, i)
-		}
-		out, _ := body.SpentOutput()
-		inSum += out.Value
-	}
-	outSum, ok := tx.OutputSum()
-	if !ok {
-		return fmt.Errorf("%w: outputs", ErrOverflow)
-	}
-	if outSum > inSum {
-		return fmt.Errorf("%w: spends %d, creates %d", ErrValueImbalance, inSum, outSum)
-	}
-	return nil
+	return v.ValidateTxsBatch([]*txmodel.EBVTx{tx}, 1, nil)[0]
 }
+
+// ValidateTxsBatch checks len(txs) standalone transactions against the
+// current chain state: the per-tx verifier on up to workers
+// goroutines, one batched status-database probe as the UV oracle for
+// every input of every transaction, then the ordered reducer per
+// transaction, judging maturity at the earliest height the batch could
+// be mined. errs[i] is txs[i]'s verdict, independent of the other
+// transactions (duplicate spends are detected within a transaction
+// only, and one failure cancels nothing). Nothing may mutate the status
+// database between the probe and the caller consuming the verdicts;
+// the admission service holds that by construction (verdicts are
+// committed to the pool before the next block connect revalidates).
+//
+// The verifier runs before UV verdicts exist, so an input whose EV and
+// SV pass enters the verified-proof cache even when its UV probe comes
+// back negative. That is sound — a cache entry asserts EV+SV, never
+// unspentness — and verdict-neutral.
+//
+// s, when non-nil, supplies the spend, probe-result and dedup buffers;
+// it must not serve another batch or block concurrently.
+func (v *EBVValidator) ValidateTxsBatch(txs []*txmodel.EBVTx, workers int, s *ingest.Scratch) []error {
+	errs := make([]error, len(txs))
+	height := uint64(0)
+	if tip, ok := v.headers.TipHeight(); ok {
+		height = tip + 1
+	}
+	slab := takeSlab(txs)
+	defer slab.release()
+	tvs := slab.txs
+	runWorkers(workers, len(txs), func(i int) bool {
+		v.verifyTx(txs[i], &tvs[i])
+		return true // every submitter gets a verdict
+	})
+	uv := v.probeUV(collectSpends(txs, s), s)
+	seen := scratchSeen(s, len(uv.spends))
+	idx := 0
+	for i, tx := range txs {
+		if tvs[i].coinbase {
+			errs[i] = ErrStandaloneCoinbase
+		} else {
+			_, errs[i] = reduceTx(tx, &tvs[i], height, uv, idx, seen)
+		}
+		// Duplicate detection is per transaction: forget its spends.
+		next := idx + len(tx.Bodies)
+		for _, sp := range uv.spends[idx:next] {
+			delete(seen, sp)
+		}
+		idx = next
+	}
+	return errs
+}
+
+// VerifyStateless runs the kernel on b the way a node without state
+// can: the structure check minus the tip link, the per-tx verifier,
+// and the ordered reducer at b's height with no UV oracle and no
+// commit. hs resolves proof heights; only heights below b's own are
+// consulted — the view a full node connecting b has. Apart from the
+// link (the caller anchors b to its own header chain) and UV, the
+// verdict and its text are exactly ConnectBlock's.
+func VerifyStateless(b *blockmodel.EBVBlock, hs HeaderSource, eng *script.Engine) error {
+	v := &EBVValidator{engine: eng, headers: headersBelow{hs, b.Header.Height}}
+	pv, err := v.preverify(b, 1, false)
+	if err != nil {
+		return err
+	}
+	defer pv.release()
+	spends := collectSpends(b.Txs[1:], nil)
+	return reduceBlock(b, pv.slab.txs, uvProbes{spends: spends}, scratchSeen(nil, len(spends)))
+}
+
+// headersBelow is a header source restricted to the heights below a
+// block's own.
+type headersBelow struct {
+	hs     HeaderSource
+	height uint64
+}
+
+func (h headersBelow) Header(height uint64) (blockmodel.Header, bool) {
+	if height >= h.height {
+		return blockmodel.Header{}, false
+	}
+	return h.hs.Header(height)
+}
+
+func (h headersBelow) TipHeight() (uint64, bool) { return h.height - 1, h.height > 0 }
 
 // DisconnectBlock reverses the tip block during a reorg: the block's
 // outputs leave the status database and the bits its inputs cleared

@@ -6,6 +6,7 @@ import (
 
 	"ebv/internal/blockmodel"
 	"ebv/internal/chainstore"
+	"ebv/internal/hashx"
 	"ebv/internal/script"
 	"ebv/internal/statusdb"
 	"ebv/internal/txmodel"
@@ -53,6 +54,25 @@ func warmFromMempool(t testing.TB, v *EBVValidator, blk *blockmodel.EBVBlock) {
 	}
 }
 
+// verifyOne runs the kernel's per-input step (EV + SV, cache aware)
+// on body and returns its verdict's error, counting the cache outcome
+// into bd as a block connect would.
+func verifyOne(v *EBVValidator, body *txmodel.InputBody, sigHash hashx.Hash, bd *Breakdown) error {
+	var iv inputVerdict
+	w := newStopwatch()
+	v.verifyInput(body, sigHash, &iv, &w)
+	switch iv.cache {
+	case cacheHit:
+		bd.CacheHits++
+	case cacheMiss:
+		bd.CacheMisses++
+	}
+	if iv.evErr != nil {
+		return iv.evErr
+	}
+	return iv.svErr
+}
+
 // spendingTx returns the first transaction of blk that carries a
 // proof-backed input with a mutable unlock script, or nil.
 func spendingTx(blk *blockmodel.EBVBlock) *txmodel.EBVTx {
@@ -64,8 +84,8 @@ func spendingTx(blk *blockmodel.EBVBlock) *txmodel.EBVTx {
 	return nil
 }
 
-// TestValidateInputCacheStats pins the cache contract at the
-// ValidateInput level: a first (successful) validation misses and
+// TestValidateInputCacheStats pins the cache contract at the level of
+// the kernel's per-input step (verifyInput): a first (successful) validation misses and
 // inserts, a repeat hits, a byte-level proof difference or a height
 // difference misses and is rejected with exactly the uncached
 // validator's error, and failed validations never insert.
@@ -84,7 +104,7 @@ func TestValidateInputCacheStats(t *testing.T) {
 
 	base := cachedV.Cache().Len()
 	var bd Breakdown
-	if err := cachedV.ValidateInput(body, sigHash, &bd); err != nil {
+	if err := verifyOne(cachedV, body, sigHash, &bd); err != nil {
 		t.Fatalf("first validation: %v", err)
 	}
 	if bd.CacheHits != 0 || bd.CacheMisses != 1 {
@@ -93,7 +113,7 @@ func TestValidateInputCacheStats(t *testing.T) {
 	if cachedV.Cache().Len() != base+1 {
 		t.Fatalf("successful validation must insert: len %d, want %d", cachedV.Cache().Len(), base+1)
 	}
-	if err := cachedV.ValidateInput(body, sigHash, &bd); err != nil {
+	if err := verifyOne(cachedV, body, sigHash, &bd); err != nil {
 		t.Fatalf("repeat validation: %v", err)
 	}
 	if bd.CacheHits != 1 || bd.CacheMisses != 1 {
@@ -107,8 +127,8 @@ func TestValidateInputCacheStats(t *testing.T) {
 	bad.UnlockScript[5] ^= 1
 	bad.Invalidate() // in-place mutation after hashing
 	var bdBad Breakdown
-	errCached := cachedV.ValidateInput(&bad, sigHash, &bdBad)
-	errPlain := plainV.ValidateInput(&bad, sigHash, &Breakdown{})
+	errCached := verifyOne(cachedV, &bad, sigHash, &bdBad)
+	errPlain := verifyOne(plainV, &bad, sigHash, &Breakdown{})
 	if errCached == nil || errPlain == nil {
 		t.Fatalf("tampered unlock script must fail: cached=%v plain=%v", errCached, errPlain)
 	}
@@ -127,8 +147,8 @@ func TestValidateInputCacheStats(t *testing.T) {
 	bad2 := *body
 	bad2.Height++
 	bad2.Invalidate()
-	errCached2 := cachedV.ValidateInput(&bad2, sigHash, &Breakdown{})
-	errPlain2 := plainV.ValidateInput(&bad2, sigHash, &Breakdown{})
+	errCached2 := verifyOne(cachedV, &bad2, sigHash, &Breakdown{})
+	errPlain2 := verifyOne(plainV, &bad2, sigHash, &Breakdown{})
 	if errCached2 == nil || errPlain2 == nil {
 		t.Fatalf("wrong height must fail: cached=%v plain=%v", errCached2, errPlain2)
 	}
@@ -271,11 +291,11 @@ func TestCacheMemoEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// BenchmarkEBVValidateInput measures one input's full validation
-// (EV+UV+SV) in the configurations the tentpole targets: uncached with
-// memoization, warm verified-proof cache (the relay steady state,
-// expected ~0 allocs/op), and memoization disabled.
-func BenchmarkEBVValidateInput(b *testing.B) {
+// BenchmarkEBVVerifyInput measures the kernel's per-input EV+SV step
+// in three configurations: uncached with memoization, warm
+// verified-proof cache (the relay steady state, expected 0 allocs/op),
+// and memoization disabled.
+func BenchmarkEBVVerifyInput(b *testing.B) {
 	f := newFixture(b, 120)
 	blk := reencode(b, f.lastEBV)
 	tx := spendingTx(blk)
@@ -290,7 +310,7 @@ func BenchmarkEBVValidateInput(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := v.ValidateInput(body, sigHash, &bd); err != nil {
+			if err := verifyOne(v, body, sigHash, &bd); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -302,7 +322,7 @@ func BenchmarkEBVValidateInput(b *testing.B) {
 	b.Run("warm-cache", func(b *testing.B) {
 		v, _ := syncedEBV(b, f, WithVerificationCache(vcache.New(0)))
 		var bd Breakdown
-		if err := v.ValidateInput(body, sigHash, &bd); err != nil {
+		if err := verifyOne(v, body, sigHash, &bd); err != nil {
 			b.Fatal(err)
 		}
 		run(b, v)

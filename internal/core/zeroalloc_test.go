@@ -14,12 +14,11 @@ import (
 )
 
 // TestWarmCacheValidateInputZeroAllocs pins the allocation contract of
-// the validation hot path: once an input's proof is in the
-// verified-proof cache, re-validating it (probe + live UV) allocates
-// nothing — the cache key is derived from memoized hashes into stack
-// buffers, the LRU probe is allocation-free, and the bit-vector read
-// holds no garbage. Excluded from -race builds, whose instrumentation
-// skews allocation accounting.
+// the kernel's per-input step (verifyInput): once an input's proof is
+// in the verified-proof cache, re-verifying it allocates nothing — the
+// cache key is derived from memoized hashes into stack buffers and the
+// LRU probe is allocation-free. Excluded from -race builds, whose
+// instrumentation skews allocation accounting.
 func TestWarmCacheValidateInputZeroAllocs(t *testing.T) {
 	f := newFixture(t, 120)
 	v, _ := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
@@ -30,17 +29,19 @@ func TestWarmCacheValidateInputZeroAllocs(t *testing.T) {
 	}
 	sigHash := tx.SigHash()
 	body := &tx.Bodies[0]
-	var bd Breakdown
-	if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-		t.Fatal(err)
+	var iv inputVerdict
+	w := newStopwatch()
+	if !v.verifyInput(body, sigHash, &iv, &w) {
+		t.Fatal(iv.evErr, iv.svErr)
 	}
 
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-			t.Fatal(err)
+		iv = inputVerdict{}
+		if !v.verifyInput(body, sigHash, &iv, &w) || iv.cache != cacheHit {
+			t.Fatal("warm input must verify from the cache")
 		}
 	}); avg != 0 {
-		t.Errorf("warm-cache ValidateInput allocates %.1f objects/input, want 0", avg)
+		t.Errorf("warm-cache verifyInput allocates %.1f objects/input, want 0", avg)
 	}
 
 	// The uncached EV step is allocation-free too: the tidy leaf hash is

@@ -1,19 +1,3 @@
-// Package light implements the light-client tier: a node that holds
-// only the header chain, subscribes to a full node with an
-// address/outpoint filter, and fully validates just the blocks that
-// matter to it using the proofs EBV transactions already carry.
-//
-// The trust model follows Dietcoin/CompactChain: everything a light
-// client accepts is anchored to the header chain (proof of work and
-// header linkage it checked itself) plus the per-input proofs carried
-// by the block — Merkle branches to stored headers (EV), enhanced
-// locking scripts for script validation (SV), and the stake-position
-// binding that defeats faked positions. What a light client cannot
-// check is Unspent Validation: the bit-vector set lives only on full
-// nodes, so a light client detects invalid blocks and forged history
-// but not a double spend buried in a block it never inspected. That is
-// exactly the slice of validation the paper's proof-carrying design
-// makes portable, and exactly what the tier verifies.
 package light
 
 import (

@@ -14,11 +14,12 @@ import (
 	"ebv/internal/script"
 )
 
-// newLightServer builds a full node holding all but the last block of
-// a freshly rendered chain, wrapped for gossip with light serving on.
-// It returns the gossip node and the held-back final block's bytes —
-// the block the test mines live so pushes have something to match.
-func newLightServer(t *testing.T, blocks int) (*Node, []byte) {
+// newLightServer builds a full node holding all but the last held
+// blocks of a freshly rendered chain, wrapped for gossip with light
+// serving on. It returns the gossip node and the held-back blocks'
+// bytes — the blocks the test delivers live so pushes have something
+// to match.
+func newLightServer(t *testing.T, blocks, held int) (*Node, [][]byte) {
 	t.Helper()
 	_, store := buildEBVChain(t, blocks)
 	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
@@ -27,23 +28,23 @@ func newLightServer(t *testing.T, blocks int) (*Node, []byte) {
 	}
 	t.Cleanup(func() { en.Close() })
 	eng := en.EnableForkChoice(forkchoice.Config{})
-	tip, _ := store.TipHeight()
-	for h := uint64(0); h < tip; h++ {
-		raw, err := store.BlockBytes(h)
+	var rest [][]byte
+	for h := 0; h < blocks; h++ {
+		raw, err := store.BlockBytes(uint64(h))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if h >= blocks-held {
+			rest = append(rest, raw)
+			continue
 		}
 		if _, err := en.AcceptBlock(raw, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	last, err := store.BlockBytes(tip)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gn := NewNode(EBVChain{Node: en}, Config{Forks: eng, LightServe: true})
 	t.Cleanup(func() { gn.Close() })
-	return gn, last
+	return gn, rest
 }
 
 // watchPatternOf extracts a filter pattern from a serialized block:
@@ -69,7 +70,8 @@ func watchPatternOf(t *testing.T, raw []byte) []byte {
 // fully verifies it against its own header chain, with zero full-block
 // (by-height) downloads.
 func TestLightClientEndToEnd(t *testing.T) {
-	gn, last := newLightServer(t, 130)
+	gn, held := newLightServer(t, 130, 1)
+	last := held[0]
 	pattern := watchPatternOf(t, last)
 
 	server, client := net.Pipe()
@@ -123,6 +125,67 @@ func TestLightClientEndToEnd(t *testing.T) {
 	waitFor(t, "subscription removed", func() bool {
 		return gn.LightStats().Subscribers == 0
 	})
+}
+
+// TestLightPushesBlocksConnectedWithAdoptedOrphan: a peer delivers
+// h+1 before h, so h+1 parks as an orphan and the delivery of h
+// connects both in one fork-choice step. The light subscriber watching
+// both blocks must get a push for each and verify both.
+func TestLightPushesBlocksConnectedWithAdoptedOrphan(t *testing.T) {
+	gn, held := newLightServer(t, 130, 2)
+	c := light.NewClient(lightPipe(t, gn), light.Config{
+		Filter: &light.Filter{Patterns: [][]byte{watchPatternOf(t, held[0]), watchPatternOf(t, held[1])}},
+		Logf:   t.Logf,
+	})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	select {
+	case <-c.Synced():
+	case <-time.After(10 * time.Second):
+		t.Fatal("client never synced headers")
+	}
+
+	// A fork-choice peer delivers the two blocks out of order; its
+	// inbound traffic (getheaders for the orphan, announcements) is
+	// drained and ignored.
+	feeder := lightPipe(t, gn)
+	r, w := bufio.NewReader(feeder), bufio.NewWriter(feeder)
+	if _, err := wire.Read(r); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			if _, err := wire.Read(r); err != nil {
+				return
+			}
+		}
+	}()
+	for _, m := range []*wire.Message{
+		{Kind: wire.Hello, Height: 0, Features: wire.FeatureForkChoice},
+		{Kind: wire.Block, Height: 129, Payload: held[1]},
+		{Kind: wire.Block, Height: 128, Payload: held[0]},
+	} {
+		if err := wire.Write(w, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both pushed blocks verified", func() bool {
+		return c.Stats().BlocksVerified == 2
+	})
+	if st := c.Stats(); st.TipHeight != 129 || st.VerifyFailures != 0 || st.FullBlockDownloads != 0 {
+		t.Errorf("client %+v, want tip 129 with no failures or full downloads", st)
+	}
+}
+
+// lightPipe serves one end of an in-memory connection on gn and
+// returns the other.
+func lightPipe(t *testing.T, gn *Node) net.Conn {
+	server, client := net.Pipe()
+	gn.ServeConn(server)
+	t.Cleanup(func() { client.Close() })
+	return client
 }
 
 // TestLightClientRefusesNonServingNode: a client with a filter needs
@@ -181,7 +244,8 @@ func TestHandshakeIgnoresUnknownFeatureBits(t *testing.T) {
 // TestResubscribeReplacesFilter: a second subscribe from the same peer
 // swaps the filter atomically — one live subscription, both counted.
 func TestResubscribeReplacesFilter(t *testing.T) {
-	gn, last := newLightServer(t, 30)
+	gn, held := newLightServer(t, 30, 1)
+	last := held[0]
 	server, client := net.Pipe()
 	gn.ServeConn(server)
 	r := bufio.NewReader(client)

@@ -637,6 +637,7 @@ func (n *Node) acceptGossipBlock(p *peer, height uint64, payload []byte) error {
 
 // handleBlockForkChoice routes an inbound block through the engine.
 func (n *Node) handleBlockForkChoice(p *peer, height uint64, payload []byte) error {
+	next := tipField(n.chain.TipHeight())
 	v, err := n.cfg.Forks.ProcessBlock(payload, p.id)
 	if err != nil {
 		// Policy refusals — a reorg past our depth cap, past fast-synced
@@ -658,6 +659,12 @@ func (n *Node) handleBlockForkChoice(p *peer, height uint64, payload []byte) err
 		tip, _ := n.chain.TipHeight()
 		if n.cfg.OnBlock != nil {
 			n.cfg.OnBlock(tip, p.id)
+		}
+		// One ProcessBlock may connect several blocks — the delivered
+		// one plus orphans it adopted. Light subscribers get every
+		// height above the old tip; announce covers the new tip.
+		for h := next; h < tip; h++ {
+			n.notifyLight(h)
 		}
 		n.announce(tip, p.id)
 		// If the peer is ahead on what is now our branch, keep pulling.

@@ -638,14 +638,19 @@ type probeScratch struct {
 // batch overlaps (quiescent, the batch is a point-in-time snapshot,
 // and stage B's validator never overlaps its own commits).
 func (d *DB) IsUnspentBatch(spends []Spend) []ProbeResult {
-	return d.IsUnspentBatchInto(spends, make([]ProbeResult, len(spends)))
+	res, _, _ := d.IsUnspentBatchInto(spends, make([]ProbeResult, len(spends)))
+	return res
 }
 
 // IsUnspentBatchInto is IsUnspentBatch writing into a caller-supplied
 // result buffer, which it returns resized to len(spends); it allocates
 // only if res is too small. The ingest scratch uses this to keep warm
-// probes allocation-free.
-func (d *DB) IsUnspentBatchInto(spends []Spend, res []ProbeResult) []ProbeResult {
+// probes allocation-free. It also reports the tip observation every
+// probe was evaluated against (hasTip false: the set was empty): a
+// probe fails with ErrUnknownBlock exactly when its height is above
+// that tip, which a caller racing a Disconnect can only judge against
+// this observation, not a separate Tip call.
+func (d *DB) IsUnspentBatchInto(spends []Spend, res []ProbeResult) ([]ProbeResult, uint64, bool) {
 	if cap(res) < len(spends) {
 		res = make([]ProbeResult, len(spends))
 	}
@@ -658,7 +663,7 @@ func (d *DB) IsUnspentBatchInto(spends []Spend, res []ProbeResult) []ProbeResult
 			res[i].Unspent, res[i].Err = probeShard(s, tip, hasTip, spends[i].Height, spends[i].Pos)
 		}
 		s.mu.RUnlock()
-		return res
+		return res, tip, hasTip
 	}
 	ps := d.probePool.Get().(*probeScratch)
 	groups, touched := ps.groups, ps.touched[:0]
@@ -697,7 +702,7 @@ func (d *DB) IsUnspentBatchInto(spends []Spend, res []ProbeResult) []ProbeResult
 	}
 	ps.touched = touched
 	d.probePool.Put(ps)
-	return res
+	return res, tip, hasTip
 }
 
 // probeShard is the probe body; the caller holds s's read lock and s

@@ -26,6 +26,11 @@ echo "== go test -race =="
 # sharded status database's two-phase commit and shallow snapshots.
 go test -race ./...
 
+echo "== statusdb concurrent soak (repeated) =="
+# The soak's readers race Disconnects that lower the tip; a flake there
+# counts as a failure, so run it enough times to show one.
+go test -run TestStatusDBConcurrentSoak -count=50 ./internal/statusdb/
+
 echo "== allocation gate (warm ingest path) =="
 # The zero-alloc tests carry a !race build tag (race instrumentation
 # skews allocation accounting), so the -race pass above never sees
