@@ -32,7 +32,7 @@ func main() {
 		latency  = flag.Duration("latency", -1, "injected per-miss disk latency for baseline IBD (default preset)")
 		winLat   = flag.Duration("windowlatency", -1, "disk model for the per-block measurement window (default preset)")
 		simCost  = flag.Int("simcost", 0, "SimSig verify cost in SHA-256 iterations (default preset)")
-		repeats  = flag.Int("repeats", 0, "runs for repeated experiments (default preset)")
+		repeats  = flag.Int("repeats", 0, "runs for repeated experiments and rounds per ablation arm (default preset)")
 		dataDir  = flag.String("datadir", "", "chain cache directory (default $TMPDIR/ebv-bench)")
 		artDir   = flag.String("artifactdir", "", "directory for machine-readable BENCH_*.json artifacts (default .)")
 		quick    = flag.Bool("quick", false, "small preset for smoke runs")

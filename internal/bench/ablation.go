@@ -65,66 +65,29 @@ func (e *Env) AblationDBCache(w io.Writer) error {
 // observation that SV dominates and is the next optimization target.
 func (e *Env) AblationSimCost(w io.Writer) error {
 	costs := []int{4, 16, e.Opts.SimCost, 128, 512}
+	// The chain's signatures were produced at e.Opts.SimCost, so the
+	// validating engine must use that cost; the sweep instead reports
+	// the *modeled* SV at the swept cost — SV scales linearly in hash
+	// iterations.
+	n, done, err := e.freshEBVNode(nil)
+	if err != nil {
+		return err
+	}
+	bd, err := e.replayWindow(n, false, n.SubmitBlockRaw)
+	done()
+	if err != nil {
+		return err
+	}
 	t := newTable("sim-cost", "ebv-window-total", "sv", "sv-share", "ev+uv")
-	start := e.WindowStart()
 	for _, cost := range costs {
-		dir, err := e.TempNodeDir()
-		if err != nil {
-			return err
-		}
-		// The chain's signatures were produced at e.Opts.SimCost, so
-		// the validating engine must use that cost; the sweep instead
-		// reports the *modeled* SV at the swept cost — SV scales
-		// linearly in hash iterations.
-		n, err := node.NewEBVNode(e.EBVNodeConfig(dir))
-		if err != nil {
-			return err
-		}
-		bd, err := e.ebvWindow(n, start)
-		if err != nil {
-			n.Close()
-			return err
-		}
 		scale := float64(cost+2) / float64(e.Opts.SimCost+2) // +2: fixed hashing around the iterations
-		sv := time.Duration(float64(bd.sv) * scale)
-		total := bd.rest + sv
-		t.row(cost, total, sv, pct(sv, total), bd.evuv)
-		n.Close()
+		sv := time.Duration(float64(bd.SV) * scale)
+		total := bd.EV + bd.UV + bd.Other + sv
+		t.row(cost, total, sv, pct(sv, total), bd.EV+bd.UV)
 	}
 	t.write(w, "Ablation: EBV window validation vs signature-verify cost (SV share)")
 	fmt.Fprintln(w, "SV grows linearly with verify cost; EV+UV stay flat — SV dominates at realistic costs.")
 	return nil
-}
-
-// ablationWindow aggregates an EBV window run.
-type ablationWindow struct {
-	sv, evuv, rest time.Duration
-}
-
-// ebvWindow replays the chain into n up to the window and sums the
-// window blocks' breakdowns.
-func (e *Env) ebvWindow(n *node.EBVNode, start uint64) (*ablationWindow, error) {
-	out := &ablationWindow{}
-	for h := uint64(0); h < start+WindowLen; h++ {
-		raw, err := e.EBVChain.BlockBytes(h)
-		if err != nil {
-			return nil, err
-		}
-		blk, err := decodeEBV(raw)
-		if err != nil {
-			return nil, err
-		}
-		bd, err := n.SubmitBlock(blk)
-		if err != nil {
-			return nil, err
-		}
-		if h >= start {
-			out.sv += bd.SV
-			out.evuv += bd.EV + bd.UV
-			out.rest += bd.EV + bd.UV + bd.Other
-		}
-	}
-	return out, nil
 }
 
 // AblationLatency compares the baseline IBD with and without the

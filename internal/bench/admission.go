@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -24,38 +21,23 @@ import (
 // transaction), across a batch-size × worker sweep. Every arm pushes
 // the same corpus of valid spends — built from the chain's own
 // unspent outputs — through a fresh pool, and must admit all of it;
-// throughput is corpus size over wall time.
+// the reading is wall time per admitted transaction.
 //
 // The verified-proof cache is disabled for every arm so no arm warms
 // the next, and the admission queue is sized to the corpus so no
 // submission is rejected at intake: the sweep isolates verification
 // and commit, not backpressure.
 //
-// Results are also written as BENCH_admission.json into
-// Options.ArtifactDir.
+// Arms run interleaved for Options.Repeats rounds; results are
+// written as BENCH_admission.json into Options.ArtifactDir.
 func (e *Env) AblationAdmission(w io.Writer) error {
-	type row struct {
-		Arm      string  `json:"arm"` // "sequential" or "batched"
-		Batch    int     `json:"batch"`
-		Workers  int     `json:"workers"`
-		Txs      int     `json:"txs"`
-		WallNS   int64   `json:"wall_ns"`
-		TxPerSec float64 `json:"tx_per_s"`
-	}
-
 	// One synced node; admission only reads validation state, so every
 	// arm can share it with its own fresh pool.
-	dir, err := e.TempNodeDir()
+	n, done, err := e.freshEBVNode(func(c *node.Config) { c.VerifyCacheSize = 0 })
 	if err != nil {
 		return err
 	}
-	cfg := e.EBVNodeConfig(dir)
-	cfg.VerifyCacheSize = 0
-	n, err := node.NewEBVNode(cfg)
-	if err != nil {
-		return err
-	}
-	defer n.Close()
+	defer done()
 	if _, err := node.RunIBDEBV(e.EBVChain, n, 0, nil); err != nil {
 		return err
 	}
@@ -75,71 +57,39 @@ func (e *Env) AblationAdmission(w io.Writer) error {
 
 	wide := e.Opts.Workers
 	if wide <= 1 {
-		wide = runtime.GOMAXPROCS(0)
-		if wide > 8 {
-			wide = 8
+		wide = min(runtime.GOMAXPROCS(0), 8)
+	}
+	perTx := func(run func() (time.Duration, error)) func() (reading, error) {
+		return func() (reading, error) {
+			wall, err := run()
+			return reading{value: float64(wall) / float64(len(corpus))}, err
 		}
 	}
-
-	// Each arm replays the corpus into a fresh pool several times and
-	// reports the aggregate — one pass is a few milliseconds, far too
-	// short for a stable reading — and the repetitions are interleaved
-	// across arms so slow phases of the host machine tax every arm
-	// evenly instead of whichever arm they landed on.
-	const reps = 8
-
-	type arm struct {
-		name           string
-		batch, workers int
-		run            func() (time.Duration, error)
-	}
-	arms := []arm{{name: "sequential", batch: 1, workers: 1,
-		run: func() (time.Duration, error) { return e.admissionSequential(n, corpus) }}}
+	arms := []arm{{"sequential", perTx(func() (time.Duration, error) { return e.admissionSequential(n, corpus) })}}
+	seen := map[string]bool{}
 	for _, bw := range []struct{ batch, workers int }{
 		{1, 1}, {64, 1}, {1, wide}, {16, wide}, {64, wide}, {256, wide},
 	} {
-		bw := bw
-		arms = append(arms, arm{name: "batched", batch: bw.batch, workers: bw.workers,
-			run: func() (time.Duration, error) { return e.admissionService(n, corpus, bw.batch, bw.workers) }})
-	}
-
-	walls := make([]time.Duration, len(arms))
-	for r := 0; r < reps; r++ {
-		for i, a := range arms {
-			wall, err := a.run()
-			if err != nil {
-				return fmt.Errorf("%s batch %d workers %d: %w", a.name, a.batch, a.workers, err)
-			}
-			walls[i] += wall
+		name := fmt.Sprintf("batched b=%d w=%d", bw.batch, bw.workers)
+		if seen[name] { // wide == 1 repeats the single-worker arms
+			continue
 		}
+		seen[name] = true
+		arms = append(arms, arm{name,
+			perTx(func() (time.Duration, error) { return e.admissionService(n, corpus, bw.batch, bw.workers) })})
 	}
-
-	var rows []row
-	for i, a := range arms {
-		rows = append(rows, row{a.name, a.batch, a.workers, len(corpus) * reps,
-			int64(walls[i]), float64(len(corpus)*reps) / walls[i].Seconds()})
+	if _, err := e.measure(w, report{
+		id:    "ablation-admission",
+		title: "Ablation: tx admission, batched verification vs one-at-a-time",
+		unit:  "ns/tx",
+		base:  "sequential",
+	}, arms); err != nil {
+		return err
 	}
-
-	t := newTable("arm", "batch", "workers", "tx/s", "vs-seq")
-	for _, r := range rows {
-		t.row(r.Arm, r.Batch, r.Workers, fmt.Sprintf("%.0f", r.TxPerSec),
-			fmt.Sprintf("%.2fx", float64(rows[0].WallNS)/float64(r.WallNS)))
-	}
-	t.write(w, "Ablation: tx admission, batched verification vs one-at-a-time")
 	fmt.Fprintln(w, "Each arm admits the same corpus into a fresh pool; batched arms amortize the UV probe and spread EV+SV across the workers.")
 	if runtime.NumCPU() == 1 {
 		fmt.Fprintln(w, "note: single-CPU host — the parallel arms cannot exceed the sequential baseline here; expect the batched arms to win at workers > 1 on multicore hardware.")
 	}
-
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_admission.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }
 

@@ -56,7 +56,8 @@ type Options struct {
 	// preset uses the library default (sig.DefaultSimCost) for speed.
 	SimCost int
 	// Repeats is the number of runs for the experiments the paper
-	// repeats five times (Figs. 17, 18).
+	// repeats five times (Figs. 17, 18), and the number of interleaved
+	// rounds the arms runner gives every timed ablation arm.
 	Repeats int
 	// DataDir caches generated chains between runs. Default
 	// os.TempDir()/ebv-bench.
@@ -81,8 +82,8 @@ type Options struct {
 	// sweeps its own counts regardless. 0 keeps the statusdb default.
 	StatusShards int
 	// ArtifactDir is where experiments that emit machine-readable
-	// results (BENCH_cache.json) write them. Default "." (the current
-	// directory).
+	// results (BENCH_*.json) write them, created if missing. Default
+	// "." (the current directory).
 	ArtifactDir string
 }
 
@@ -269,6 +270,25 @@ func (e *Env) Close() error {
 // TempNodeDir returns a fresh scratch directory for a node.
 func (e *Env) TempNodeDir() (string, error) {
 	return os.MkdirTemp("", "ebv-node-*")
+}
+
+// freshEBVNode opens an EBV node in a new scratch directory, with
+// EBVNodeConfig adjusted by cfg (nil keeps it). done closes the node
+// and removes the directory.
+func (e *Env) freshEBVNode(cfg func(*node.Config)) (n *node.EBVNode, done func(), err error) {
+	dir, err := e.TempNodeDir()
+	if err != nil {
+		return nil, nil, err
+	}
+	c := e.EBVNodeConfig(dir)
+	if cfg != nil {
+		cfg(&c)
+	}
+	if n, err = node.NewEBVNode(c); err != nil {
+		os.RemoveAll(dir)
+		return nil, nil, err
+	}
+	return n, func() { n.Close(); os.RemoveAll(dir) }, nil
 }
 
 // EBVNodeConfig is the node configuration every EBV-side experiment

@@ -3,9 +3,11 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -233,51 +235,28 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestAblationCacheRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
+	out, art := runAblation(t, "ablation-cache")
+	if !strings.Contains(out, "verified-proof cache") || !strings.Contains(out, "warm") {
+		t.Fatalf("missing ablation-cache output:\n%s", out)
 	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-cache", &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "verified-proof cache") || !strings.Contains(s, "warm") {
-		t.Fatalf("missing ablation-cache output:\n%s", s)
-	}
-	raw, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_cache.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []struct {
-		Size      int    `json:"cache_size"`
-		Mode      string `json:"mode"`
-		Hits      int    `json:"cache_hits"`
-		Misses    int    `json:"cache_misses"`
-		Evictions uint64 `json:"evictions"`
-	}
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("expected 5 rows (1 uncached + 2 sizes x cold/warm), got %d", len(rows))
-	}
-	for _, r := range rows {
+	wantArms(t, art, "off", "4096/cold", "4096/warm", "65536/cold", "65536/warm")
+	for _, a := range art.Arms {
+		hits, misses := a.Metrics["cache_hits"], a.Metrics["cache_misses"]
 		switch {
-		case r.Size == 0 && (r.Hits != 0 || r.Misses != 0):
-			t.Fatalf("uncached row must report no cache traffic: %+v", r)
-		case r.Size > 0 && r.Mode == "cold" && r.Hits != 0:
-			t.Fatalf("cold row must not hit (every window proof is new): %+v", r)
-		case r.Size > 0 && r.Mode == "warm" && (r.Hits == 0 || r.Misses != 0):
-			t.Fatalf("warm row must hit on every window input: %+v", r)
+		case a.Arm == "off" && (hits != 0 || misses != 0):
+			t.Fatalf("uncached arm must report no cache traffic: %+v", a)
+		case strings.HasSuffix(a.Arm, "/cold") && hits != 0:
+			t.Fatalf("cold arm must not hit (every window proof is new): %+v", a)
+		case strings.HasSuffix(a.Arm, "/warm") && (hits == 0 || misses != 0):
+			t.Fatalf("warm arm must hit on every window input: %+v", a)
 		}
 		// Counters are scoped to the measurement window: every eviction
 		// requires an insertion, and window insertions are bounded by
 		// the window's cache traffic. The pre-window replay used to
 		// leak its evictions into these rows (e.g. thousands of
 		// evictions on a row with zero misses).
-		if r.Size > 0 && r.Evictions > uint64(r.Hits+r.Misses) {
-			t.Fatalf("evictions exceed window cache traffic (stat carry-over from warm-up replay): %+v", r)
+		if a.Arm != "off" && a.Metrics["evictions"] > hits+misses {
+			t.Fatalf("evictions exceed window cache traffic (stat carry-over from warm-up replay): %+v", a)
 		}
 	}
 }
@@ -295,50 +274,17 @@ func TestEverythingIncludesAblations(t *testing.T) {
 }
 
 func TestAblationOverheadRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
+	out, art := runAblation(t, "ablation-overhead")
+	if !strings.Contains(out, "uv-floor") || !strings.Contains(out, "zero-copy") {
+		t.Fatalf("missing ablation-overhead output:\n%s", out)
 	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-overhead", &out); err != nil {
-		t.Fatal(err)
+	wantArms(t, art, "uv-floor", "probe-only", "copy-decode", "zero-copy")
+	if len(art.Arms) != 4 {
+		t.Fatalf("want exactly 4 arms, got %d", len(art.Arms))
 	}
-	s := out.String()
-	if !strings.Contains(s, "uv-floor") || !strings.Contains(s, "zero-copy") {
-		t.Fatalf("missing ablation-overhead output:\n%s", s)
-	}
-	raw, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_overhead.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []struct {
-		Arm     string  `json:"arm"`
-		TotalNS int64   `json:"total_ns"`
-		Inputs  int     `json:"inputs"`
-		Ratio   float64 `json:"ratio_vs_uv_floor"`
-	}
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"uv-floor": false, "probe-only": false, "copy-decode": false,
-		"zero-copy": false, "zero-copy-unpooled": false, "per-vector-writes": false,
-	}
-	for _, r := range rows {
-		if _, ok := want[r.Arm]; !ok {
-			t.Fatalf("unexpected arm %q", r.Arm)
-		}
-		want[r.Arm] = true
-		if r.TotalNS <= 0 || r.Inputs <= 0 {
-			t.Fatalf("arm %s measured nothing: %+v", r.Arm, r)
-		}
-		if r.Arm == "uv-floor" && r.Ratio != 1.0 {
-			t.Fatalf("uv-floor must be its own baseline: %+v", r)
-		}
-	}
-	for arm, seen := range want {
-		if !seen {
-			t.Fatalf("missing arm %s", arm)
+	for _, a := range art.Arms {
+		if a.Metrics["inputs"] <= 0 {
+			t.Fatalf("arm %s measured no inputs: %+v", a.Arm, a)
 		}
 	}
 }
@@ -409,112 +355,203 @@ func TestNetIBDRuns(t *testing.T) {
 }
 
 func TestAblationBootstrapRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
+	out, art := runAblation(t, "ablation-bootstrap")
+	if !strings.Contains(out, "fast-bootstrap state sync") {
+		t.Fatalf("missing ablation-bootstrap output:\n%s", out)
 	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-bootstrap", &out); err != nil {
-		t.Fatal(err)
+	full, fast := art.Arms[len(art.Arms)-2], art.Arms[len(art.Arms)-1]
+	if !strings.HasPrefix(full.Arm, "full-ibd") || !strings.HasPrefix(fast.Arm, "fast-sync") {
+		t.Fatalf("last arms %q, %q; want the longest chain's full-ibd and fast-sync", full.Arm, fast.Arm)
 	}
-	if !strings.Contains(out.String(), "fast-bootstrap state sync") {
-		t.Fatalf("missing ablation-bootstrap output:\n%s", out.String())
-	}
-	data, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_bootstrap.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []map[string]any
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("empty BENCH_bootstrap.json")
-	}
-	last := rows[len(rows)-1]
-	if last["fast_sync_bytes"].(float64) >= last["full_ibd_bytes"].(float64) {
-		t.Fatalf("fast sync must transfer less than full IBD: %+v", last)
+	if fast.Metrics["bytes"] >= full.Metrics["bytes"] {
+		t.Fatalf("fast sync must transfer less than full IBD: %+v vs %+v", fast, full)
 	}
 }
 
 func TestAblationReorgRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
-	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-reorg", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "reorg cost vs depth") {
-		t.Fatalf("missing ablation-reorg output:\n%s", out.String())
-	}
-	data, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_reorg.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []struct {
-		Depth        int    `json:"depth"`
-		System       string `json:"system"`
-		DisconnectNS int64  `json:"disconnect_ns"`
-		ReconnectNS  int64  `json:"reconnect_ns"`
-	}
-	if err := json.Unmarshal(data, &rows); err != nil {
-		t.Fatal(err)
+	out, art := runAblation(t, "ablation-reorg")
+	if !strings.Contains(out, "reorg cost vs depth") {
+		t.Fatalf("missing ablation-reorg output:\n%s", out)
 	}
 	// Two systems per depth, every phase measured on real work.
-	if len(rows) != 8 {
-		t.Fatalf("want 4 depths x 2 systems, got %d rows", len(rows))
+	if len(art.Arms) != 8 {
+		t.Fatalf("want 4 depths x 2 systems, got %d arms", len(art.Arms))
 	}
-	for _, r := range rows {
-		if r.System != "ebv" && r.System != "bitcoin" {
-			t.Fatalf("unknown system %q", r.System)
+	for _, a := range art.Arms {
+		if !strings.HasPrefix(a.Arm, "ebv d=") && !strings.HasPrefix(a.Arm, "bitcoin d=") {
+			t.Fatalf("unknown arm %q", a.Arm)
 		}
-		if r.DisconnectNS <= 0 || r.ReconnectNS <= 0 {
-			t.Fatalf("unmeasured phase: %+v", r)
+		if a.Metrics["disconnect_ns"] <= 0 || a.Metrics["reconnect_ns"] <= 0 {
+			t.Fatalf("unmeasured phase: %+v", a)
 		}
 	}
 }
 
 func TestAblationLightRuns(t *testing.T) {
+	out, art := runAblation(t, "ablation-light")
+	if !strings.Contains(out, "per 1k subscribers") {
+		t.Fatalf("missing ablation-light output:\n%s", out)
+	}
+	arms := wantArms(t, art, "converge/block", "serve-match/block", "client-verify/block",
+		"full-ibd/block", "sim-1000-last-client")
+	serve, client := arms["serve-match/block"], arms["client-verify/block"]
+	if serve.Metrics["subscribers"] <= 0 || serve.Metrics["pushed_blocks"] <= 0 ||
+		serve.Metrics["bytes_per_1k_subs_per_block"] <= 0 {
+		t.Fatalf("empty serve side: %+v", serve)
+	}
+	if client.Metrics["full_block_downloads"] != 0 {
+		t.Fatalf("light clients downloaded %v full blocks", client.Metrics["full_block_downloads"])
+	}
+}
+
+// TestAblationArtifacts runs every ablation that writes a BENCH_*.json
+// artifact, each into a nested artifact directory that does not exist
+// yet, decodes the artifact in the shared schema and checks that every
+// expected arm is present with a positive median. The relay entry also
+// carries the compact-relay byte gates.
+func TestAblationArtifacts(t *testing.T) {
+	for _, c := range []struct {
+		id    string
+		arms  []string
+		check func(t *testing.T, arms map[string]armResult)
+	}{
+		{id: "ablation-overhead", arms: []string{"uv-floor", "probe-only", "copy-decode", "zero-copy"}},
+		{id: "ablation-cache", arms: []string{"off", "4096/cold", "4096/warm", "65536/cold", "65536/warm"}},
+		{id: "ablation-parallel", arms: []string{"workers=1", "workers=2", "workers=4"}},
+		{id: "ablation-shards", arms: []string{"shards=1", "shards=2", "shards=4", "shards=8"}},
+		{id: "ablation-ibdpipe", arms: []string{"sequential", "per-block-parallel",
+			"pipelined d=1 w=1", "pipelined d=2 w=1", "pipelined d=4 w=1", "pipelined d=8 w=1"}},
+		{id: "ablation-admission", arms: []string{"sequential", "batched b=1 w=1", "batched b=64 w=1"}},
+		{id: "ablation-reorg", arms: []string{"ebv d=1", "bitcoin d=1", "ebv d=32", "bitcoin d=32"}},
+		{id: "ablation-bootstrap", arms: []string{"full-ibd L=300", "fast-sync L=300"}},
+		{id: "ablation-light", arms: []string{"converge/block", "client-verify/block"}},
+		{id: "ablation-relay", arms: []string{"full 0%", "full 95%", "compact 0%", "compact 95%", "compact 100%"},
+			check: func(t *testing.T, arms map[string]armResult) {
+				// A fully warmed receiver fetches no transactions, and at
+				// 95% mempool overlap compact delivery costs under 10% of
+				// the full-block bytes.
+				if got := arms["compact 100%"].Metrics["txns_requested"]; got != 0 {
+					t.Errorf("warm receiver fetched %v txns, want 0", got)
+				}
+				if c, f := arms["compact 95%"].Median, arms["full 95%"].Median; c*10 >= f {
+					t.Errorf("compact delivery at 95%% overlap cost %v B vs %v B full (>= 10%%)", c, f)
+				}
+			}},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			_, art := runAblation(t, c.id)
+			arms := wantArms(t, art, c.arms...)
+			if art.Experiment != c.id || art.CPUs <= 0 || art.Rounds <= 0 {
+				t.Fatalf("bad artifact header: %q, %d CPUs, %d rounds", art.Experiment, art.CPUs, art.Rounds)
+			}
+			for _, a := range art.Arms {
+				if len(a.Samples) != art.Rounds && c.id != "ablation-light" {
+					t.Errorf("arm %s: %d samples for %d rounds", a.Arm, len(a.Samples), art.Rounds)
+				}
+			}
+			if c.check != nil {
+				c.check(t, arms)
+			}
+		})
+	}
+}
+
+// wantArms fails unless art holds every named arm and every arm has a
+// positive median; it returns the arms by name.
+func wantArms(t *testing.T, art artifact, names ...string) map[string]armResult {
+	t.Helper()
+	arms := map[string]armResult{}
+	for _, a := range art.Arms {
+		if !(a.Median > 0) {
+			t.Errorf("%s: arm %q has median %v", art.Experiment, a.Arm, a.Median)
+		}
+		arms[a.Arm] = a
+	}
+	for _, n := range names {
+		if _, ok := arms[n]; !ok {
+			t.Errorf("%s: missing arm %q", art.Experiment, n)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return arms
+}
+
+// shared runs each ablation at most once per test binary, on one Env
+// built with the scale the ablation smokes have always used (-quick
+// -blocks 300), so tests that inspect the same artifact share its run.
+var shared struct {
+	sync.Mutex
+	env  *Env
+	root string
+	runs map[string]*ablationRun
+}
+
+type ablationRun struct {
+	out string
+	art artifact
+	err error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if shared.env != nil {
+		shared.env.Close()
+		os.RemoveAll(shared.root)
+	}
+	os.Exit(code)
+}
+
+// runAblation returns the output and decoded artifact of experiment
+// id, running it on first use into <root>/<id>/nested — a directory
+// that does not exist beforehand, so the artifact writer must create
+// it. The artifact must end with a newline.
+func runAblation(t *testing.T, id string) (string, artifact) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full harness run")
 	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-light", &out); err != nil {
-		t.Fatal(err)
+	shared.Lock()
+	defer shared.Unlock()
+	if shared.env == nil {
+		root, err := os.MkdirTemp("", "ebv-bench-test-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := QuickOptions()
+		o.Blocks = 300
+		o.DataDir = filepath.Join(root, "data")
+		env, err := NewEnv(o, nil)
+		if err != nil {
+			os.RemoveAll(root)
+			t.Fatal(err)
+		}
+		shared.env, shared.root, shared.runs = env, root, map[string]*ablationRun{}
 	}
-	if !strings.Contains(out.String(), "per 1k subscribers") {
-		t.Fatalf("missing ablation-light output:\n%s", out.String())
+	r := shared.runs[id]
+	if r == nil {
+		r = &ablationRun{}
+		shared.runs[id] = r
+		dir := filepath.Join(shared.root, id, "nested")
+		shared.env.Opts.ArtifactDir = dir
+		var out bytes.Buffer
+		r.err = RunByID(shared.env, id, &out)
+		r.out = out.String()
+		if r.err == nil {
+			var raw []byte
+			raw, r.err = os.ReadFile(filepath.Join(dir, "BENCH_"+strings.TrimPrefix(id, "ablation-")+".json"))
+			switch {
+			case r.err != nil:
+			case !bytes.HasSuffix(raw, []byte("\n")):
+				r.err = fmt.Errorf("artifact does not end with a newline")
+			default:
+				r.err = json.Unmarshal(raw, &r.art)
+			}
+		}
 	}
-	data, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_light.json"))
-	if err != nil {
-		t.Fatal(err)
+	if r.err != nil {
+		t.Fatalf("%s: %v", id, r.err)
 	}
-	var report struct {
-		Subscribers     int     `json:"subscribers"`
-		Blocks          int64   `json:"pushed_blocks"`
-		MatchNSPerBlock int64   `json:"serve_match_ns_per_block"`
-		BytesPer1k      int64   `json:"serve_bytes_per_1k_subs_per_block"`
-		ClientVerifyNS  int64   `json:"client_verify_ns_per_block"`
-		FullDownloads   int64   `json:"client_full_block_downloads"`
-		IBDPerBlockNS   int64   `json:"ibd_ns_per_block"`
-		SimLastClientNS int64   `json:"sim_1000_last_client_ns"`
-		VerifyVsIBD     float64 `json:"client_verify_over_ibd"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Subscribers <= 0 || report.Blocks <= 0 {
-		t.Fatalf("empty run: %+v", report)
-	}
-	if report.MatchNSPerBlock <= 0 || report.BytesPer1k <= 0 ||
-		report.ClientVerifyNS <= 0 || report.IBDPerBlockNS <= 0 ||
-		report.SimLastClientNS <= 0 {
-		t.Fatalf("unmeasured metric: %+v", report)
-	}
-	if report.FullDownloads != 0 {
-		t.Fatalf("light clients downloaded %d full blocks", report.FullDownloads)
-	}
+	return r.out, r.art
 }

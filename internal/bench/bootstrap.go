@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -29,35 +27,19 @@ const bootstrapSpan = 256
 // clients end at the same tip and the fast-synced status set is
 // checked byte-identical to the replayed one before any number is
 // reported. Wall clocks are loopback TCP, so the transferred-bytes
-// columns are the transportable result; a modeled 10 MB/s WAN join
+// metrics are the transportable result; a modeled 10 MB/s WAN join
 // time derived from them (simnet.Bootstrap) is reported alongside.
 //
-// Results are also written as BENCH_bootstrap.json into
-// Options.ArtifactDir.
+// Each length is joined once; results are written as
+// BENCH_bootstrap.json into Options.ArtifactDir.
 func (e *Env) AblationBootstrap(w io.Writer) error {
-	lengths := []int{e.Opts.Blocks / 4, e.Opts.Blocks / 2, e.Opts.Blocks}
-	type row struct {
-		Blocks      int     `json:"blocks"`
-		FullNS      int64   `json:"full_ibd_ns"`
-		FullBytes   int64   `json:"full_ibd_bytes"`
-		FastNS      int64   `json:"fast_sync_ns"`
-		FastBytes   int64   `json:"fast_sync_bytes"`
-		Chunks      int     `json:"fast_sync_chunks"`
-		BytesRatio  float64 `json:"bytes_ratio"`
-		WanFullNS   int64   `json:"wan_model_full_ns"`
-		WanFastNS   int64   `json:"wan_model_fast_ns"`
-		WallSpeedup float64 `json:"wall_speedup"`
-	}
-	var rows []row
-
-	logf(w, "ablation-bootstrap: join cost per bootstrap path, chain lengths %v", lengths)
-	t := newTable("blocks", "full-ibd", "full-bytes", "fast-sync", "fast-bytes", "bytes-ratio")
-	seen := map[int]bool{}
-	for _, L := range lengths {
-		if L < 8 || seen[L] {
+	var arms []armResult
+	var last *bootstrapResult
+	logf(w, "ablation-bootstrap: join cost per bootstrap path")
+	for _, L := range dedupSorted([]int{e.Opts.Blocks / 4, e.Opts.Blocks / 2, e.Opts.Blocks}) {
+		if L < 8 {
 			continue
 		}
-		seen[L] = true
 		r, err := e.bootstrapOne(L)
 		if err != nil {
 			return err
@@ -69,36 +51,32 @@ func (e *Env) AblationBootstrap(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ratio := float64(r.fullBytes) / float64(r.fastBytes)
-		rows = append(rows, row{
-			Blocks: L,
-			FullNS: int64(r.fullWall), FullBytes: r.fullBytes,
-			FastNS: int64(r.fastWall), FastBytes: r.fastBytes,
-			Chunks: r.chunks, BytesRatio: ratio,
-			WanFullNS: int64(wan.FullIBD), WanFastNS: int64(wan.FastSync),
-			WallSpeedup: float64(r.fullWall) / float64(r.fastWall),
-		})
-		t.row(L, r.fullWall, r.fullBytes, r.fastWall, r.fastBytes, fmt.Sprintf("%.1fx", ratio))
+		arms = append(arms,
+			single(fmt.Sprintf("full-ibd L=%d", L), float64(r.fullWall), map[string]float64{
+				"bytes": float64(r.fullBytes), "wan_model_ns": float64(wan.FullIBD),
+			}),
+			single(fmt.Sprintf("fast-sync L=%d", L), float64(r.fastWall), map[string]float64{
+				"bytes": float64(r.fastBytes), "wan_model_ns": float64(wan.FastSync), "chunks": float64(r.chunks),
+			}))
+		last = r
 	}
-	t.write(w, "Joining node: full IBD vs fast-bootstrap state sync")
-	last := rows[len(rows)-1]
-	if last.FastBytes >= last.FullBytes {
+	if last == nil {
+		return fmt.Errorf("ablation-bootstrap: chain of %d blocks is too short", e.Opts.Blocks)
+	}
+	if last.fastBytes >= last.fullBytes {
 		return fmt.Errorf("ablation-bootstrap: fast sync moved %d bytes, full IBD %d — snapshot larger than the chain",
-			last.FastBytes, last.FullBytes)
+			last.fastBytes, last.fullBytes)
 	}
-	fmt.Fprintf(w, "transfer reduction at %d blocks: %s; modeled 10MB/s WAN join %v -> %v\n",
-		last.Blocks, reduction(float64(last.FullBytes), float64(last.FastBytes)),
-		time.Duration(last.WanFullNS), time.Duration(last.WanFastNS))
-
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
+	if err := e.emit(w, report{
+		id:    "ablation-bootstrap",
+		title: "Joining node: full IBD vs fast-bootstrap state sync",
+		unit:  "ns",
+		cols:  []string{"bytes", "wan_model_ns"},
+	}, 1, arms); err != nil {
 		return err
 	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_bootstrap.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf(w, "ablation-bootstrap: wrote %s", path)
+	fmt.Fprintf(w, "transfer reduction at the longest chain: %s\n",
+		reduction(float64(last.fullBytes), float64(last.fastBytes)))
 	return nil
 }
 

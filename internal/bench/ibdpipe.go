@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
-	"time"
 
 	"ebv/internal/node"
 )
@@ -20,114 +16,50 @@ import (
 // depths {1, 2, 4, 8} run at one and at W workers. Depth 1 isolates
 // the overlap of a single preverified block with the commit ahead of
 // it; deeper settings only add slack for uneven block sizes. Every
-// run's final unspent count is checked against the first before any
-// number is reported.
+// run's final unspent count must match the generator's ground truth.
 //
-// Results are also written as BENCH_ibdpipe.json into
-// Options.ArtifactDir.
+// Arms run interleaved for Options.Repeats rounds; results are
+// written as BENCH_ibdpipe.json into Options.ArtifactDir.
 func (e *Env) AblationIBDPipe(w io.Writer) error {
 	wide := e.Opts.Workers
 	if wide <= 1 {
-		wide = runtime.NumCPU()
-		if wide > 4 {
-			wide = 4
+		wide = min(runtime.NumCPU(), 4)
+	}
+	ibd := func(workers, depth int) func() (reading, error) {
+		return func() (reading, error) {
+			n, done, err := e.freshEBVNode(func(c *node.Config) {
+				c.ParallelValidation = workers
+				c.PipelineDepth = depth
+			})
+			if err != nil {
+				return reading{}, err
+			}
+			defer done()
+			res, err := node.RunIBDEBV(e.EBVChain, n, 0, nil)
+			if err != nil {
+				return reading{}, err
+			}
+			if err := e.statusDBSanity(n.Status); err != nil {
+				return reading{}, fmt.Errorf("pipeline state diverged: %w", err)
+			}
+			return reading{value: float64(res.Wall)}, nil
 		}
 	}
-	type cfg struct {
-		label   string
-		workers int
-		depth   int
-	}
-	sweep := []cfg{
-		{"sequential", 1, 0},
-		{"per-block-parallel", wide, 0},
+	arms := []arm{
+		{"sequential", ibd(1, 0)},
+		{"per-block-parallel", ibd(wide, 0)},
 	}
 	for _, d := range []int{1, 2, 4, 8} {
 		for _, wk := range dedupSorted([]int{1, wide}) {
-			sweep = append(sweep, cfg{fmt.Sprintf("pipelined d=%d w=%d", d, wk), wk, d})
+			arms = append(arms, arm{fmt.Sprintf("pipelined d=%d w=%d", d, wk), ibd(wk, d)})
 		}
 	}
-
-	type row struct {
-		Label      string  `json:"label"`
-		Depth      int     `json:"depth"`
-		Workers    int     `json:"workers"`
-		WallNS     int64   `json:"wall_ns"`
-		Blocks     int     `json:"blocks"`
-		Inputs     int     `json:"inputs"`
-		BlocksPerS float64 `json:"blocks_per_sec"`
-		SpeedupSeq float64 `json:"speedup_vs_sequential"`
-		SpeedupPar float64 `json:"speedup_vs_parallel"`
-	}
-	var rows []row
-
-	logf(w, "ablation-ibdpipe: full-chain IBD, %d blocks, %d CPU(s)", e.Opts.Blocks, runtime.NumCPU())
-	var seqWall, parWall time.Duration
-	var wantUnspent int64
-	t := newTable("config", "depth", "workers", "ibd-wall", "blocks/s", "vs-seq", "vs-par")
-	for i, c := range sweep {
-		dir, err := e.TempNodeDir()
-		if err != nil {
-			return err
-		}
-		ncfg := e.EBVNodeConfig(dir)
-		ncfg.ParallelValidation = c.workers
-		ncfg.PipelineDepth = c.depth
-		n, err := node.NewEBVNode(ncfg)
-		if err != nil {
-			return err
-		}
-		res, err := node.RunIBDEBV(e.EBVChain, n, 0, nil)
-		if err != nil {
-			n.Close()
-			return fmt.Errorf("ablation-ibdpipe %s: %w", c.label, err)
-		}
-		unspent := n.Status.UnspentCount()
-		blocks := n.Chain.Count()
-		n.Close()
-		os.RemoveAll(dir)
-		if i == 0 {
-			wantUnspent = unspent
-		} else if unspent != wantUnspent {
-			return fmt.Errorf("ablation-ibdpipe %s: unspent count %d != sequential %d — pipeline state diverged",
-				c.label, unspent, wantUnspent)
-		}
-		switch c.label {
-		case "sequential":
-			seqWall = res.Wall
-		case "per-block-parallel":
-			parWall = res.Wall
-		}
-		vsSeq := float64(seqWall) / float64(res.Wall)
-		vsPar := 0.0
-		if parWall > 0 {
-			vsPar = float64(parWall) / float64(res.Wall)
-		}
-		rows = append(rows, row{
-			Label: c.label, Depth: c.depth, Workers: c.workers,
-			WallNS: int64(res.Wall), Blocks: blocks, Inputs: res.Total.Inputs,
-			BlocksPerS: float64(blocks) / res.Wall.Seconds(),
-			SpeedupSeq: vsSeq, SpeedupPar: vsPar,
-		})
-		t.row(c.label, c.depth, c.workers, res.Wall.Round(time.Millisecond),
-			fmt.Sprintf("%.0f", float64(blocks)/res.Wall.Seconds()),
-			fmt.Sprintf("%.2fx", vsSeq), fmt.Sprintf("%.2fx", vsPar))
-	}
-	t.write(w, "Ablation: cross-block pipelined IBD vs depth and workers")
-	fmt.Fprintf(w, "baselines: sequential %v, per-block-parallel (w=%d) %v\n",
-		seqWall.Round(time.Millisecond), wide, parWall.Round(time.Millisecond))
-
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_ibdpipe.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf(w, "ablation-ibdpipe: wrote %s", path)
-	return nil
+	logf(w, "ablation-ibdpipe: full-chain IBD, %d blocks, per-block-parallel at w=%d", e.Opts.Blocks, wide)
+	_, err := e.measure(w, report{
+		id:    "ablation-ibdpipe",
+		title: "Ablation: cross-block pipelined IBD vs depth and workers",
+		unit:  "ns",
+		base:  "sequential",
+	}, arms)
+	return err
 }

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ebv/internal/blockmodel"
@@ -37,7 +34,8 @@ import (
 // prove the trust model's shape: every client verifies its blocks
 // with zero full-block (by-height) downloads and no status database.
 //
-// Results are also written as BENCH_light.json into
+// The tier is measured once (the converge arm has one sample per
+// pushed block); results are written as BENCH_light.json into
 // Options.ArtifactDir.
 func (e *Env) AblationLight(w io.Writer) error {
 	subscribers := 1000
@@ -142,7 +140,7 @@ func (e *Env) AblationLight(w io.Writer) error {
 	}
 	statsBefore := gn.LightStats()
 	bytesBefore := lightBytes()
-	convergeNS := make([]int64, 0, len(held))
+	converge := make([]reading, 0, len(held))
 	for bi, raw := range held {
 		start := time.Now()
 		if err := gn.SubmitLocal(raw); err != nil {
@@ -165,7 +163,7 @@ func (e *Env) AblationLight(w io.Writer) error {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		convergeNS = append(convergeNS, int64(time.Since(start)))
+		converge = append(converge, reading{value: float64(time.Since(start))})
 	}
 	statsAfter := gn.LightStats()
 	servedBytes := lightBytes() - bytesBefore
@@ -226,75 +224,41 @@ func (e *Env) AblationLight(w io.Writer) error {
 		return err
 	}
 
-	report := struct {
-		Subscribers        int     `json:"subscribers"`
-		ServeTip           uint64  `json:"serve_tip"`
-		Blocks             int64   `json:"pushed_blocks"`
-		AttachWallNS       int64   `json:"attach_and_sync_wall_ns"`
-		ConvergeNS         []int64 `json:"converge_wall_ns"`
-		MatchNSPerBlock    int64   `json:"serve_match_ns_per_block"`
-		ServeBytes         int64   `json:"serve_bytes"`
-		BytesPer1kPerBlock int64   `json:"serve_bytes_per_1k_subs_per_block"`
-		Notifies           int64   `json:"serve_notifies"`
-		Dropped            int64   `json:"serve_dropped"`
-		BlocksServed       int64   `json:"serve_blocks_by_hash"`
-		ClientVerifyNS     int64   `json:"client_verify_ns_per_block"`
-		ClientPushNS       int64   `json:"client_push_to_verify_ns"`
-		ClientDropSignals  int64   `json:"client_drop_signals"`
-		FullDownloads      int64   `json:"client_full_block_downloads"`
-		IBDPerBlockNS      int64   `json:"ibd_ns_per_block"`
-		VerifyVsIBD        float64 `json:"client_verify_over_ibd"`
-		SimLastClientNS    int64   `json:"sim_1000_last_client_ns"`
-		SimServeBusyNS     int64   `json:"sim_1000_serve_busy_ns"`
-	}{
-		Subscribers: subscribers, ServeTip: serveTip, Blocks: blocks,
-		AttachWallNS: int64(attachWall), ConvergeNS: convergeNS,
-		MatchNSPerBlock: matchNSPerBlock, ServeBytes: servedBytes,
-		BytesPer1kPerBlock: bytesPer1kPerBlock,
-		Notifies:           statsAfter.Notifies - statsBefore.Notifies,
-		Dropped:            statsAfter.Dropped - statsBefore.Dropped,
-		BlocksServed:       statsAfter.BlocksServed - statsBefore.BlocksServed,
-		ClientVerifyNS:     verifyNSPerBlock, ClientPushNS: pushNSPerBlock,
-		ClientDropSignals: dropped, FullDownloads: fullDownloads,
-		IBDPerBlockNS:   ibdPerBlockNS,
-		VerifyVsIBD:     float64(verifyNSPerBlock) / float64(ibdPerBlockNS),
-		SimLastClientNS: int64(sim.LastClient()),
-	}
 	var simBusy time.Duration
 	for _, b := range sim.ServeBusy {
 		simBusy += b
 	}
-	report.SimServeBusyNS = int64(simBusy)
-
-	t := newTable("metric", "value")
-	t.row("subscribers", report.Subscribers)
-	t.row("pushed blocks", report.Blocks)
-	t.row("attach+sync wall", attachWall.Round(time.Millisecond))
-	for i, c := range convergeNS {
-		t.row(fmt.Sprintf("converge block %d", i+1), time.Duration(c).Round(10*time.Microsecond))
+	arms := []armResult{
+		summarize("converge/block", converge),
+		single("serve-match/block", float64(matchNSPerBlock), map[string]float64{
+			"subscribers":                 float64(subscribers),
+			"pushed_blocks":               float64(blocks),
+			"attach_and_sync_wall_ns":     float64(attachWall),
+			"serve_bytes":                 float64(servedBytes),
+			"bytes_per_1k_subs_per_block": float64(bytesPer1kPerBlock),
+			"notifies":                    float64(statsAfter.Notifies - statsBefore.Notifies),
+			"dropped":                     float64(statsAfter.Dropped - statsBefore.Dropped),
+			"blocks_by_hash":              float64(statsAfter.BlocksServed - statsBefore.BlocksServed),
+		}),
+		single("client-verify/block", float64(verifyNSPerBlock), map[string]float64{
+			"push_to_verify_ns":    float64(pushNSPerBlock),
+			"drop_signals":         float64(dropped),
+			"full_block_downloads": float64(fullDownloads),
+			"verify_over_ibd":      float64(verifyNSPerBlock) / float64(ibdPerBlockNS),
+		}),
+		single("full-ibd/block", float64(ibdPerBlockNS), nil),
+		single("sim-1000-last-client", float64(sim.LastClient()), map[string]float64{
+			"serve_busy_ns": float64(simBusy),
+		}),
 	}
-	t.row("serve match / block", time.Duration(matchNSPerBlock).Round(time.Microsecond))
-	t.row("serve bytes / 1k subs / block", bytesPer1kPerBlock)
-	t.row("client verify / block", time.Duration(verifyNSPerBlock).Round(time.Microsecond))
-	t.row("client push→verify", time.Duration(pushNSPerBlock).Round(10*time.Microsecond))
-	t.row("full IBD / block", time.Duration(ibdPerBlockNS).Round(time.Microsecond))
-	t.row("verify vs IBD", fmt.Sprintf("%.2fx", report.VerifyVsIBD))
-	t.row("sim 1000-sub last client", time.Duration(report.SimLastClientNS).Round(time.Millisecond))
-	t.write(w, "Ablation: light tier — serve-side fan-out cost and client verification per 1k subscribers")
-	fmt.Fprintf(w, "%d clients verified %d pushes with %d full-block downloads and %d status-database reads (light.VerifyBlock anchors to headers alone).\n",
-		subscribers, verified, fullDownloads, 0)
-
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	if err := e.emit(w, report{
+		id:    "ablation-light",
+		title: "Ablation: light tier — serve-side fan-out cost and client verification per 1k subscribers",
+		unit:  "ns",
+	}, 1, arms); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_light.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
+	fmt.Fprintf(w, "%d clients verified %d pushes with %d full-block downloads and %d status-database reads (light.VerifyBlock anchors to headers alone); %d bytes per 1k subscribers per block.\n",
+		subscribers, verified, fullDownloads, 0, bytesPer1kPerBlock)
 	return nil
 }

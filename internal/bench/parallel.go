@@ -5,9 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"time"
 
-	"ebv/internal/core"
 	"ebv/internal/node"
 )
 
@@ -16,74 +14,30 @@ import (
 // fresh EBV node replays the chain at that width and the window
 // blocks' wall-clock validation time and EV/UV/SV/other split are
 // reported. workers=1 is the sequential validator — the baseline the
-// speedup column compares against. On a single-core machine the sweep
+// ratio column divides by. On a single-core machine the sweep
 // degenerates to overhead measurement; the Breakdown stays wall-clock
 // honest either way.
+//
+// Arms run interleaved for Options.Repeats rounds; results are
+// written as BENCH_parallel.json into Options.ArtifactDir.
 func (e *Env) AblationParallel(w io.Writer) error {
 	sweep := []int{1, 2, 4, runtime.NumCPU()}
 	if e.Opts.Workers > 1 {
 		sweep = []int{1, e.Opts.Workers}
 	}
-	sweep = dedupSorted(sweep)
-
-	start := e.WindowStart()
-	var base time.Duration
-	t := newTable("workers", "window-total", "ev", "uv", "sv", "others", "speedup")
-	for _, wkrs := range sweep {
-		dir, err := e.TempNodeDir()
-		if err != nil {
-			return err
-		}
-		cfg := e.EBVNodeConfig(dir)
-		cfg.ParallelValidation = wkrs
-		n, err := node.NewEBVNode(cfg)
-		if err != nil {
-			return err
-		}
-		bd, err := e.ebvWindowBreakdown(n, start)
-		n.Close()
-		if err != nil {
-			return err
-		}
-		total := bd.Total()
-		if wkrs == 1 {
-			base = total
-		}
-		speedup := "1.00x"
-		if wkrs != 1 && total > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(base)/float64(total))
-		}
-		t.row(wkrs, total, bd.EV, bd.UV, bd.SV, bd.Other, speedup)
+	var arms []arm
+	for _, wkrs := range dedupSorted(sweep) {
+		arms = append(arms, e.windowArm(fmt.Sprintf("workers=%d", wkrs), false,
+			func(c *node.Config) { c.ParallelValidation = wkrs }))
 	}
-	t.write(w, "Ablation: EBV window validation vs parallel pipeline workers")
-	fmt.Fprintf(w, "window: %d blocks from height %d; %d CPU(s) available\n",
-		WindowLen, start, runtime.NumCPU())
-	return nil
-}
-
-// ebvWindowBreakdown replays the chain into n and sums the measurement
-// window blocks' breakdowns. Unlike ebvWindow it keeps the full
-// per-phase split, which the parallel ablation reports.
-func (e *Env) ebvWindowBreakdown(n *node.EBVNode, start uint64) (*core.Breakdown, error) {
-	out := &core.Breakdown{}
-	for h := uint64(0); h < start+WindowLen; h++ {
-		raw, err := e.EBVChain.BlockBytes(h)
-		if err != nil {
-			return nil, err
-		}
-		blk, err := decodeEBV(raw)
-		if err != nil {
-			return nil, err
-		}
-		bd, err := n.SubmitBlock(blk)
-		if err != nil {
-			return nil, err
-		}
-		if h >= start {
-			out.Add(bd)
-		}
-	}
-	return out, nil
+	_, err := e.measure(w, report{
+		id:    "ablation-parallel",
+		title: "Ablation: EBV window validation vs parallel pipeline workers",
+		unit:  "ns",
+		base:  "workers=1",
+		cols:  []string{"ev_ns", "uv_ns", "sv_ns", "other_ns"},
+	}, arms)
+	return err
 }
 
 // dedupSorted sorts and deduplicates a small int slice in place.

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ebv/internal/blockmodel"
@@ -32,24 +29,10 @@ import (
 // simnet transfer model to project per-hop savings onto the paper's
 // twenty-node propagation topology (§VI-E).
 //
-// Results are also written as BENCH_relay.json into
-// Options.ArtifactDir.
+// Each arm runs once; results are written as BENCH_relay.json into
+// Options.ArtifactDir, one arm per relay mode and overlap, valued in
+// delivery bytes.
 func (e *Env) AblationRelay(w io.Writer) error {
-	type row struct {
-		Arm           string  `json:"arm"` // "compact" or "full"
-		OverlapPct    int     `json:"overlap_pct"`
-		Txs           int     `json:"txs"`
-		BlockBytes    int     `json:"block_bytes"`
-		WireBytes     int64   `json:"wire_bytes"`
-		ReqMsgs       int64   `json:"req_msgs"`
-		TxnsRequested int64   `json:"txns_requested"`
-		Fallbacks     int64   `json:"fallbacks"`
-		WallNS        int64   `json:"wall_ns"`
-		SimPropNS     int64   `json:"sim_propagation_ns,omitempty"`
-		AnnounceBytes int64   `json:"announce_bytes,omitempty"`
-		Reduction     float64 `json:"reduction_vs_full,omitempty"`
-	}
-
 	overlaps := []int{0, 50, 95, 100}
 	perArm := 96
 	if e.Opts.Quick {
@@ -71,7 +54,7 @@ func (e *Env) AblationRelay(w io.Writer) error {
 	// runs every overlap arm through it: each arm mines the next block
 	// from its own corpus slice, so the pair's chain grows by one block
 	// per arm and the slices never double-spend.
-	runPair := func(compact bool) ([]row, error) {
+	runPair := func(compact bool) ([]armResult, error) {
 		arm := "full"
 		if compact {
 			arm = "compact"
@@ -144,7 +127,7 @@ func (e *Env) AblationRelay(w io.Writer) error {
 		}
 
 		payee := e.Opts.Scheme().KeyFromSeed([]byte("relay-miner"))
-		var rows []row
+		var rows []armResult
 		for i, overlap := range overlaps {
 			slice := corpus[i*perArm : (i+1)*perArm]
 			warm := len(slice) * overlap / 100
@@ -221,14 +204,15 @@ func (e *Env) AblationRelay(w io.Writer) error {
 				wireBytes += d.BytesOut
 				reqMsgs += d.MsgsOut
 			}
-			rows = append(rows, row{
-				Arm: arm, OverlapPct: overlap, Txs: len(slice),
-				BlockBytes: len(rawBlk), WireBytes: wireBytes, ReqMsgs: reqMsgs,
-				TxnsRequested: relayAfter.TxnsRequested - relayBefore.TxnsRequested,
-				Fallbacks:     relayAfter.Fallbacks - relayBefore.Fallbacks,
-				WallNS:        int64(wall),
-				AnnounceBytes: delta(wire.CmpctBlock).BytesIn,
-			})
+			rows = append(rows, single(fmt.Sprintf("%s %d%%", arm, overlap), float64(wireBytes), map[string]float64{
+				"txs":            float64(len(slice)),
+				"block_bytes":    float64(len(rawBlk)),
+				"req_msgs":       float64(reqMsgs),
+				"txns_requested": float64(relayAfter.TxnsRequested - relayBefore.TxnsRequested),
+				"fallbacks":      float64(relayAfter.Fallbacks - relayBefore.Fallbacks),
+				"wall_ns":        float64(wall),
+				"announce_bytes": float64(delta(wire.CmpctBlock).BytesIn),
+			}))
 		}
 		return rows, nil
 	}
@@ -262,56 +246,41 @@ func (e *Env) AblationRelay(w io.Writer) error {
 		return sum / time.Duration(len(results)), nil
 	}
 	for i := range fullRows {
-		m, err := simMax(&simnet.TransferModel{Bandwidth: bandwidth, BlockBytes: int(fullRows[i].WireBytes)})
+		m, err := simMax(&simnet.TransferModel{Bandwidth: bandwidth, BlockBytes: int(fullRows[i].Median)})
 		if err != nil {
 			return err
 		}
-		fullRows[i].SimPropNS = int64(m)
+		fullRows[i].Metrics["sim_propagation_ns"] = float64(m)
 	}
 	for i := range compactRows {
-		c := &compactRows[i]
+		c := compactRows[i]
 		miss := 0.0
 		missBytes := 0
-		if c.TxnsRequested > 0 {
+		if c.Metrics["txns_requested"] > 0 {
 			miss = 1
-			missBytes = int(c.WireBytes - c.AnnounceBytes)
+			missBytes = int(c.Median - c.Metrics["announce_bytes"])
 		}
 		m, err := simMax(&simnet.TransferModel{Bandwidth: bandwidth, Compact: &simnet.CompactModel{
-			AnnounceBytes: int(c.AnnounceBytes), MissProb: miss, MissBytes: missBytes,
+			AnnounceBytes: int(c.Metrics["announce_bytes"]), MissProb: miss, MissBytes: missBytes,
 		}})
 		if err != nil {
 			return err
 		}
-		c.SimPropNS = int64(m)
-		c.Reduction = 1 - float64(c.WireBytes)/float64(fullRows[i].WireBytes)
+		c.Metrics["sim_propagation_ns"] = float64(m)
+		c.Metrics["reduction_vs_full"] = 1 - c.Median/fullRows[i].Median
 	}
 
-	rows := append(fullRows, compactRows...)
-	t := newTable("arm", "overlap", "txs", "block-B", "wire-B", "reqs", "tx-fetched", "fallbacks", "delivery", "sim-prop")
-	for _, r := range rows {
-		t.row(r.Arm, fmt.Sprintf("%d%%", r.OverlapPct), r.Txs, r.BlockBytes, r.WireBytes,
-			r.ReqMsgs, r.TxnsRequested, r.Fallbacks,
-			time.Duration(r.WallNS).Round(10*time.Microsecond),
-			time.Duration(r.SimPropNS).Round(time.Millisecond))
-	}
-	t.write(w, "Ablation: compact block relay vs full-block gossip across mempool overlap")
-	for _, r := range compactRows {
-		fmt.Fprintf(w, "overlap %3d%%: %s of the full-block bytes saved\n",
-			r.OverlapPct, fmt.Sprintf("%.1f%%", r.Reduction*100))
-	}
-	fmt.Fprintln(w, "wire-B counts the block-delivery kinds at the receiver (inv/block/cmpctblock/blocktxn in, requests out); sim-prop projects the per-hop sizes onto the 20-node simnet topology.")
-
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
+	if err := e.emit(w, report{
+		id:    "ablation-relay",
+		title: "Ablation: compact block relay vs full-block gossip across mempool overlap",
+		unit:  "bytes",
+		cols:  []string{"txs", "block_bytes", "req_msgs", "txns_requested", "fallbacks", "wall_ns", "sim_propagation_ns"},
+	}, 1, append(fullRows, compactRows...)); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
-		return err
+	for i, c := range compactRows {
+		fmt.Fprintf(w, "overlap %3d%%: %.1f%% of the full-block bytes saved\n", overlaps[i], c.Metrics["reduction_vs_full"]*100)
 	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_relay.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
+	fmt.Fprintln(w, "bytes counts the block-delivery kinds at the receiver (inv/block/cmpctblock/blocktxn in, requests out); sim_propagation_ns projects the per-hop sizes onto the 20-node simnet topology.")
 	return nil
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"ebv/internal/blockmodel"
@@ -28,30 +26,16 @@ func timed(f func() error) (time.Duration, error) {
 // auxiliary state), while the baseline must load and replay persisted
 // undo records against the UTXO database.
 //
-// Results are also written as BENCH_reorg.json into
-// Options.ArtifactDir.
+// Every cycle ends exactly where it started (the sanity checks pin
+// it), so the arms share one synced node per system and run
+// interleaved for Options.Repeats rounds; results are written as
+// BENCH_reorg.json into Options.ArtifactDir.
 func (e *Env) AblationReorg(w io.Writer) error {
-	type row struct {
-		Depth        int    `json:"depth"`
-		System       string `json:"system"` // "ebv" or "bitcoin"
-		DisconnectNS int64  `json:"disconnect_ns"`
-		ReconnectNS  int64  `json:"reconnect_ns"`
-		RoundTripNS  int64  `json:"round_trip_ns"`
-	}
-	depths := []int{1, 2, 8, 32}
-	var rows []row
-
-	// One node per system, synced once; the depth sweep reuses it (each
-	// cycle ends exactly where it started, which the sanity checks pin).
-	ebvDir, err := e.TempNodeDir()
+	en, done, err := e.freshEBVNode(nil)
 	if err != nil {
 		return err
 	}
-	en, err := node.NewEBVNode(e.EBVNodeConfig(ebvDir))
-	if err != nil {
-		return err
-	}
-	defer en.Close()
+	defer done()
 	if _, err := node.RunIBDEBV(e.EBVChain, en, 0, nil); err != nil {
 		return err
 	}
@@ -59,6 +43,7 @@ func (e *Env) AblationReorg(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer os.RemoveAll(btcDir)
 	bn, err := node.NewBitcoinNode(node.Config{
 		Dir: btcDir, MemLimit: e.Opts.MemLimit,
 		ReadLatency: e.Opts.ReadLatency, Scheme: e.Opts.Scheme(),
@@ -71,42 +56,34 @@ func (e *Env) AblationReorg(w io.Writer) error {
 		return err
 	}
 
-	t := newTable("depth", "ebv-disc", "ebv-conn", "btc-disc", "btc-conn", "btc/ebv-disc")
-	for _, d := range depths {
+	cycle := func(f func() (disc, conn time.Duration, err error)) func() (reading, error) {
+		return func() (reading, error) {
+			disc, conn, err := f()
+			return reading{float64(disc + conn), map[string]float64{
+				"disconnect_ns": float64(disc), "reconnect_ns": float64(conn),
+			}}, err
+		}
+	}
+	var arms []arm
+	for _, d := range []int{1, 2, 8, 32} {
 		if d > e.Opts.Blocks/2 {
 			fmt.Fprintf(w, "skipping depth %d: chain of %d blocks is too short\n", d, e.Opts.Blocks)
 			continue
 		}
-		ebvDisc, ebvConn, err := e.reorgCycleEBV(en, d)
-		if err != nil {
-			return fmt.Errorf("ebv depth %d: %w", d, err)
-		}
-		btcDisc, btcConn, err := e.reorgCycleBitcoin(bn, d)
-		if err != nil {
-			return fmt.Errorf("bitcoin depth %d: %w", d, err)
-		}
-		rows = append(rows,
-			row{d, "ebv", int64(ebvDisc), int64(ebvConn), int64(ebvDisc + ebvConn)},
-			row{d, "bitcoin", int64(btcDisc), int64(btcConn), int64(btcDisc + btcConn)},
+		arms = append(arms,
+			arm{fmt.Sprintf("ebv d=%d", d), cycle(func() (time.Duration, time.Duration, error) { return e.reorgCycleEBV(en, d) })},
+			arm{fmt.Sprintf("bitcoin d=%d", d), cycle(func() (time.Duration, time.Duration, error) { return e.reorgCycleBitcoin(bn, d) })},
 		)
-		ratio := "n/a"
-		if ebvDisc > 0 {
-			ratio = fmt.Sprintf("%.1fx", float64(btcDisc)/float64(ebvDisc))
-		}
-		t.row(d, ebvDisc, ebvConn, btcDisc, btcConn, ratio)
 	}
-	t.write(w, "Ablation: reorg cost vs depth (disconnect + reconnect, same blocks)")
+	if _, err := e.measure(w, report{
+		id:    "ablation-reorg",
+		title: "Ablation: reorg cost vs depth (disconnect + reconnect, same blocks)",
+		unit:  "ns",
+		cols:  []string{"disconnect_ns", "reconnect_ns"},
+	}, arms); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "EBV restores bits from the disconnected block's own bodies; the baseline replays persisted undo records.")
-
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_reorg.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
 	return nil
 }
 

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,7 +58,7 @@ func (e *Env) chainCommitOps() ([]commitOp, error) {
 //
 //   - commit: replay every block's Connect back to back — the
 //     validator's serial commit path, where sharding buys parallel
-//     staging within large blocks;
+//     staging within large blocks (the arm's value);
 //   - probe: NumCPU reader goroutines issue batched UV probes against
 //     the built set — the mempool/relay read path, where sharding
 //     removes the single RWMutex every reader funnels through;
@@ -70,8 +67,9 @@ func (e *Env) chainCommitOps() ([]commitOp, error) {
 //     per-shard snapshot is designed for.
 //
 // Every configuration's final state must be byte-identical to the
-// single-shard baseline's (and pass CheckInvariants) before any
-// number is reported. Results are also written as BENCH_shards.json
+// single-shard baseline's (and pass CheckInvariants) in every round
+// before any number is reported. Arms run interleaved for
+// Options.Repeats rounds; results are written as BENCH_shards.json
 // into Options.ArtifactDir.
 func (e *Env) AblationShards(w io.Writer) error {
 	ops, err := e.chainCommitOps()
@@ -82,19 +80,38 @@ func (e *Env) AblationShards(w io.Writer) error {
 	for _, op := range ops {
 		inputs += len(op.spends)
 	}
-
 	ncpu := runtime.NumCPU()
-	sweep := dedupSorted([]int{1, 2, 4, 8, ncpu})
 
-	replay := func(shards int) (*statusdb.DB, time.Duration, error) {
+	// replay connects every op into a fresh set; with export set, a
+	// concurrent exporter loops over the set until the replay ends.
+	replay := func(shards int, export bool) (*statusdb.DB, time.Duration, int64, error) {
 		d := statusdb.NewSharded(true, shards)
+		var stop atomic.Bool
+		var exports atomic.Int64
+		var wg sync.WaitGroup
+		if export {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if _, ok, _ := d.ExportVectors(); ok {
+						exports.Add(1)
+					}
+				}
+			}()
+		}
 		start := time.Now()
+		var err error
 		for i := range ops {
-			if err := d.Connect(ops[i].height, ops[i].nOutputs, ops[i].spends); err != nil {
-				return nil, 0, fmt.Errorf("ablation-shards: connect %d: %w", ops[i].height, err)
+			if err = d.Connect(ops[i].height, ops[i].nOutputs, ops[i].spends); err != nil {
+				err = fmt.Errorf("connect %d: %w", ops[i].height, err)
+				break
 			}
 		}
-		return d, time.Since(start), nil
+		wall := time.Since(start)
+		stop.Store(true)
+		wg.Wait()
+		return d, wall, exports.Load(), err
 	}
 
 	// The probe workload is fixed across configurations: batches of
@@ -130,116 +147,65 @@ func (e *Env) AblationShards(w io.Writer) error {
 		return float64(ncpu*rounds*probeBatch) / time.Since(start).Seconds()
 	}
 
-	type row struct {
-		Shards       int     `json:"shards"`
-		CommitNS     int64   `json:"commit_ns"`
-		BlocksPerS   float64 `json:"blocks_per_sec"`
-		ProbesPerS   float64 `json:"probes_per_sec"`
-		ExportNS     int64   `json:"commit_with_export_ns"`
-		Exports      int64   `json:"exports_completed"`
-		SpeedupP     float64 `json:"probe_speedup_vs_1"`
-		SpeedupE     float64 `json:"export_speedup_vs_1"`
-		MemBytes     int64   `json:"mem_bytes"`
-		UnspentCount int64   `json:"unspent_count"`
+	// State equality gate: every replay must land on exactly the
+	// single-shard baseline's bytes.
+	base, _, _, err := replay(1, false)
+	if err != nil {
+		return err
 	}
-	var rows []row
-
-	logf(w, "ablation-shards: %d blocks, %d inputs, %d CPU(s)", len(ops), inputs, ncpu)
-	t := newTable("shards", "commit", "blocks/s", "probes/s", "commit+export", "exports", "probe-x", "export-x")
-	var baseSnap []byte
-	var baseProbe, baseExport float64
-	for _, shards := range sweep {
-		d, commitWall, err := replay(shards)
-		if err != nil {
-			return err
-		}
-
-		// State equality gate: the sharded replay must land on exactly
-		// the single-shard baseline's bytes.
+	var baseSnap bytes.Buffer
+	if err := base.Save(&baseSnap); err != nil {
+		return err
+	}
+	sameState := func(d *statusdb.DB) error {
 		if err := d.CheckInvariants(); err != nil {
-			return fmt.Errorf("ablation-shards %d: %w", shards, err)
+			return err
 		}
 		var snap bytes.Buffer
 		if err := d.Save(&snap); err != nil {
 			return err
 		}
-		if baseSnap == nil {
-			baseSnap = snap.Bytes()
-		} else if !bytes.Equal(snap.Bytes(), baseSnap) {
-			return fmt.Errorf("ablation-shards: %d-shard state diverged from the 1-shard baseline", shards)
+		if !bytes.Equal(snap.Bytes(), baseSnap.Bytes()) {
+			return fmt.Errorf("state diverged from the 1-shard baseline")
 		}
+		return nil
+	}
 
-		probes := probeRun(d)
-
-		// Replay again with a snapshot exporter hammering the set, the
-		// statesync serving scenario.
-		d2 := statusdb.NewSharded(true, shards)
-		var stop atomic.Bool
-		var exports int64
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				if _, ok, _ := d2.ExportVectors(); ok {
-					atomic.AddInt64(&exports, 1)
-				}
+	var arms []arm
+	for _, shards := range dedupSorted([]int{1, 2, 4, 8, ncpu}) {
+		arms = append(arms, arm{fmt.Sprintf("shards=%d", shards), func() (reading, error) {
+			d, commitWall, _, err := replay(shards, false)
+			if err == nil {
+				err = sameState(d)
 			}
-		}()
-		start := time.Now()
-		for i := range ops {
-			if err := d2.Connect(ops[i].height, ops[i].nOutputs, ops[i].spends); err != nil {
-				stop.Store(true)
-				wg.Wait()
-				return fmt.Errorf("ablation-shards: export replay connect %d: %w", ops[i].height, err)
+			if err != nil {
+				return reading{}, err
 			}
-		}
-		exportWall := time.Since(start)
-		stop.Store(true)
-		wg.Wait()
-		var snap2 bytes.Buffer
-		if err := d2.Save(&snap2); err != nil {
-			return err
-		}
-		if !bytes.Equal(snap2.Bytes(), baseSnap) {
-			return fmt.Errorf("ablation-shards: %d-shard state with concurrent export diverged", shards)
-		}
+			probes := probeRun(d)
+			d2, exportWall, exports, err := replay(shards, true)
+			if err == nil {
+				err = sameState(d2)
+			}
+			if err != nil {
+				return reading{}, fmt.Errorf("with concurrent export: %w", err)
+			}
+			return reading{float64(commitWall), map[string]float64{
+				"probes_per_s":          probes,
+				"commit_with_export_ns": float64(exportWall),
+				"exports":               float64(exports),
+				"mem_bytes":             float64(d.MemUsage()),
+				"unspent":               float64(d.UnspentCount()),
+			}}, nil
+		}})
+	}
 
-		if shards == 1 {
-			baseProbe, baseExport = probes, float64(exportWall)
-		}
-		r := row{
-			Shards:       shards,
-			CommitNS:     int64(commitWall),
-			BlocksPerS:   float64(len(ops)) / commitWall.Seconds(),
-			ProbesPerS:   probes,
-			ExportNS:     int64(exportWall),
-			Exports:      exports,
-			SpeedupP:     probes / baseProbe,
-			SpeedupE:     baseExport / float64(exportWall),
-			MemBytes:     d.MemUsage(),
-			UnspentCount: d.UnspentCount(),
-		}
-		rows = append(rows, r)
-		t.row(shards, commitWall.Round(time.Millisecond),
-			fmt.Sprintf("%.0f", r.BlocksPerS),
-			fmt.Sprintf("%.2gM", probes/1e6),
-			exportWall.Round(time.Millisecond), exports,
-			fmt.Sprintf("%.2fx", r.SpeedupP), fmt.Sprintf("%.2fx", r.SpeedupE))
-	}
-	t.write(w, "Ablation: status-database shard count (state byte-identical across all rows)")
-
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_shards.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf(w, "ablation-shards: wrote %s", path)
-	return nil
+	logf(w, "ablation-shards: %d blocks, %d inputs, %d CPU(s)", len(ops), inputs, ncpu)
+	_, err = e.measure(w, report{
+		id:    "ablation-shards",
+		title: "Ablation: status-database shard count (state byte-identical across all arms)",
+		unit:  "ns",
+		base:  "shards=1",
+		cols:  []string{"probes_per_s", "commit_with_export_ns", "exports"},
+	}, arms)
+	return err
 }

@@ -190,3 +190,75 @@ func (e *Env) Fig16(w io.Writer) error {
 	tb.write(w, "Fig 16b: EBV validation time components")
 	return nil
 }
+
+// replayWindow replays the chain into n — every block below the
+// measurement window through SubmitBlockRaw, then each window block
+// through step — and returns the window blocks' summed breakdowns.
+// Cache counters are reset at the window start, so the prefix's fill
+// and churn are not charged to the window. With warm set, each window
+// block's non-coinbase transactions are first admitted through
+// ValidateTx — the relay path, which populates the verified-proof
+// cache — on a separate decode, so cache warmth (deliberate) reaches
+// the measured block but memoized hashes (an artifact) do not.
+func (e *Env) replayWindow(n *node.EBVNode, warm bool, step func(raw []byte) (*core.Breakdown, error)) (*core.Breakdown, error) {
+	start := e.WindowStart()
+	out := &core.Breakdown{}
+	for h := uint64(0); h < start+WindowLen; h++ {
+		raw, err := e.EBVChain.BlockBytes(h)
+		if err != nil {
+			return nil, err
+		}
+		if h < start {
+			if _, err := n.SubmitBlockRaw(raw); err != nil {
+				return nil, fmt.Errorf("prefix height %d: %w", h, err)
+			}
+			continue
+		}
+		if c := n.Validator.Cache(); h == start && c != nil {
+			c.ResetStats()
+		}
+		if warm {
+			pre, err := decodeEBV(raw)
+			if err != nil {
+				return nil, err
+			}
+			for i, tx := range pre.Txs[1:] {
+				if err := n.Validator.ValidateTx(tx); err != nil {
+					return nil, fmt.Errorf("warming height %d tx %d: %w", h, i+1, err)
+				}
+			}
+		}
+		bd, err := step(raw)
+		if err != nil {
+			return nil, fmt.Errorf("height %d: %w", h, err)
+		}
+		out.Add(bd)
+	}
+	return out, nil
+}
+
+// windowArm is an arm that replays the chain into a fresh EBV node —
+// the Env's configuration adjusted by cfg — and reads the measurement
+// window's summed validation time, with its phase split and cache
+// counters as metrics.
+func (e *Env) windowArm(name string, warm bool, cfg func(*node.Config)) arm {
+	return arm{name: name, run: func() (reading, error) {
+		n, done, err := e.freshEBVNode(cfg)
+		if err != nil {
+			return reading{}, err
+		}
+		defer done()
+		bd, err := e.replayWindow(n, warm, n.SubmitBlockRaw)
+		if err != nil {
+			return reading{}, err
+		}
+		m := map[string]float64{
+			"ev_ns": float64(bd.EV), "uv_ns": float64(bd.UV), "sv_ns": float64(bd.SV), "other_ns": float64(bd.Other),
+			"cache_hits": float64(bd.CacheHits), "cache_misses": float64(bd.CacheMisses),
+		}
+		if c := n.Validator.Cache(); c != nil {
+			m["evictions"] = float64(c.Stats().Evictions)
+		}
+		return reading{float64(bd.Total()), m}, nil
+	}}
+}

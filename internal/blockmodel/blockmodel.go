@@ -290,38 +290,53 @@ func (b *EBVBlock) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeEBVBlock parses an EBV block.
-func DecodeEBVBlock(data []byte) (*EBVBlock, error) {
+// walkEBVFrame walks an EBV block's framing — header, transaction
+// count, one length-prefixed transaction per count, no trailing bytes —
+// for both EBV decoders, so they return identical framing errors:
+// start receives the header and count, tx each transaction's bytes.
+func walkEBVFrame(data []byte, start func(h Header, n int), tx func(i int, raw []byte) error) error {
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("blockmodel: block shorter than header")
+		return fmt.Errorf("blockmodel: block shorter than header")
 	}
 	h, err := DecodeHeader(data[:headerSize])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	b := &EBVBlock{Header: h}
 	off := headerSize
 	n, used := varint.Uvarint(data[off:])
 	if used <= 0 || n > 1<<20 {
-		return nil, fmt.Errorf("blockmodel: bad tx count")
+		return fmt.Errorf("blockmodel: bad tx count")
 	}
 	off += used
-	b.Txs = make([]*txmodel.EBVTx, n)
-	for i := range b.Txs {
+	start(h, int(n))
+	for i := 0; i < int(n); i++ {
 		l, used := varint.Uvarint(data[off:])
 		if used <= 0 || int(l) > len(data)-off-used {
-			return nil, fmt.Errorf("blockmodel: truncated tx %d", i)
+			return fmt.Errorf("blockmodel: truncated tx %d", i)
 		}
 		off += used
-		tx, err := txmodel.DecodeEBVTx(data[off : off+int(l)])
-		if err != nil {
-			return nil, fmt.Errorf("blockmodel: tx %d: %w", i, err)
+		if err := tx(i, data[off:off+int(l)]); err != nil {
+			return fmt.Errorf("blockmodel: tx %d: %w", i, err)
 		}
-		b.Txs[i] = tx
 		off += int(l)
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("blockmodel: %d trailing bytes", len(data)-off)
+		return fmt.Errorf("blockmodel: %d trailing bytes", len(data)-off)
+	}
+	return nil
+}
+
+// DecodeEBVBlock parses an EBV block.
+func DecodeEBVBlock(data []byte) (*EBVBlock, error) {
+	b := &EBVBlock{}
+	err := walkEBVFrame(data, func(h Header, n int) {
+		b.Header, b.Txs = h, make([]*txmodel.EBVTx, n)
+	}, func(i int, raw []byte) (err error) {
+		b.Txs[i], err = txmodel.DecodeEBVTx(raw)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -336,38 +351,12 @@ func DecodeEBVBlock(data []byte) (*EBVBlock, error) {
 // errors and identical re-encoding.
 func DecodeEBVBlockInto(b *EBVBlock, data []byte, a *txmodel.Arena) error {
 	*b = EBVBlock{}
-	if len(data) < headerSize {
-		return fmt.Errorf("blockmodel: block shorter than header")
-	}
-	h, err := DecodeHeader(data[:headerSize])
-	if err != nil {
-		return err
-	}
-	b.Header = h
-	off := headerSize
-	n, used := varint.Uvarint(data[off:])
-	if used <= 0 || n > 1<<20 {
-		return fmt.Errorf("blockmodel: bad tx count")
-	}
-	off += used
-	b.Txs = a.AllocTxPtrs(int(n))
-	for i := range b.Txs {
-		l, used := varint.Uvarint(data[off:])
-		if used <= 0 || int(l) > len(data)-off-used {
-			return fmt.Errorf("blockmodel: truncated tx %d", i)
-		}
-		off += used
-		tx := a.AllocTx()
-		if err := txmodel.DecodeEBVTxInto(tx, data[off:off+int(l)], a); err != nil {
-			return fmt.Errorf("blockmodel: tx %d: %w", i, err)
-		}
-		b.Txs[i] = tx
-		off += int(l)
-	}
-	if off != len(data) {
-		return fmt.Errorf("blockmodel: %d trailing bytes", len(data)-off)
-	}
-	return nil
+	return walkEBVFrame(data, func(h Header, n int) {
+		b.Header, b.Txs = h, a.AllocTxPtrs(n)
+	}, func(i int, raw []byte) error {
+		b.Txs[i] = a.AllocTx()
+		return txmodel.DecodeEBVTxInto(b.Txs[i], raw, a)
+	})
 }
 
 // AssembleEBV packages EBV transactions into a block: it assigns each

@@ -127,13 +127,14 @@ func (v *EBVValidator) ConnectBlock(b *blockmodel.EBVBlock) (*Breakdown, error) 
 	return v.ConnectBlockIn(b, nil)
 }
 
-// ConnectBlockIn is ConnectBlock with an optional ingest scratch: when
-// s is non-nil, the spend, probe-result, and duplicate-detection
-// buffers are recycled from it instead of heap-allocated, which is
-// what makes a warm (cache-hitting) connect run allocation-free. The
-// scratch must not serve another in-flight block concurrently; b may
-// be a block previously decoded with the same scratch. It is Preverify
-// and ConnectPreverified back to back on the caller's state.
+// ConnectBlockIn is ConnectBlock with the caller's ingest scratch: the
+// spend, probe-result, and duplicate-detection buffers are recycled
+// from it, which is what makes a warm (cache-hitting) connect run
+// allocation-free. A nil s takes a pooled scratch (ingest.Get) for the
+// call. The scratch must not serve another in-flight block
+// concurrently; b may be a block previously decoded with the same
+// scratch. It is Preverify and ConnectPreverified back to back on the
+// caller's state.
 func (v *EBVValidator) ConnectBlockIn(b *blockmodel.EBVBlock, s *ingest.Scratch) (*Breakdown, error) {
 	pv, err := v.preverify(b, v.workers, true)
 	if err != nil {
@@ -211,9 +212,15 @@ func (v *EBVValidator) ValidateTx(tx *txmodel.EBVTx) error {
 // back negative. That is sound — a cache entry asserts EV+SV, never
 // unspentness — and verdict-neutral.
 //
-// s, when non-nil, supplies the spend, probe-result and dedup buffers;
-// it must not serve another batch or block concurrently.
+// s supplies the spend, probe-result and dedup buffers; it must not
+// serve another batch or block concurrently. A nil s takes a pooled
+// scratch for the call, so one-at-a-time ValidateTx calls share warm
+// buffers.
 func (v *EBVValidator) ValidateTxsBatch(txs []*txmodel.EBVTx, workers int, s *ingest.Scratch) []error {
+	if s == nil {
+		s = ingest.Get()
+		defer s.Release()
+	}
 	errs := make([]error, len(txs))
 	height := uint64(0)
 	if tip, ok := v.headers.TipHeight(); ok {
@@ -227,7 +234,7 @@ func (v *EBVValidator) ValidateTxsBatch(txs []*txmodel.EBVTx, workers int, s *in
 		return true // every submitter gets a verdict
 	})
 	uv := v.probeUV(collectSpends(txs, s), s)
-	seen := scratchSeen(s, len(uv.spends))
+	seen := s.Seen()
 	idx := 0
 	for i, tx := range txs {
 		if tvs[i].coinbase {
@@ -259,8 +266,9 @@ func VerifyStateless(b *blockmodel.EBVBlock, hs HeaderSource, eng *script.Engine
 		return err
 	}
 	defer pv.release()
-	spends := collectSpends(b.Txs[1:], nil)
-	return reduceBlock(b, pv.slab.txs, uvProbes{spends: spends}, scratchSeen(nil, len(spends)))
+	s := ingest.Get()
+	defer s.Release()
+	return reduceBlock(b, pv.slab.txs, uvProbes{spends: collectSpends(b.Txs[1:], s)}, s.Seen())
 }
 
 // headersBelow is a header source restricted to the heights below a

@@ -264,30 +264,20 @@ func (p uvProbes) check(i int) error {
 }
 
 // probeUV is the full node's UV oracle: one batched, shard-grouped
-// status-database probe for spends, into the scratch's result buffer
-// when s is non-nil.
+// status-database probe for spends, into the scratch's result buffer.
 func (v *EBVValidator) probeUV(spends []statusdb.Spend, s *ingest.Scratch) uvProbes {
-	var buf []statusdb.ProbeResult
-	if s != nil {
-		buf = s.Probes(len(spends))
-	}
-	res, _, _ := v.status.IsUnspentBatchInto(spends, buf)
+	res, _, _ := v.status.IsUnspentBatchInto(spends, s.Probes(len(spends)))
 	return uvProbes{spends, res}
 }
 
-// collectSpends flattens the spends of txs in the reducer's scan order,
-// into the ingest scratch's buffer when s is non-nil.
+// collectSpends flattens the spends of txs in the reducer's scan order
+// into the scratch's spend buffer.
 func collectSpends(txs []*txmodel.EBVTx, s *ingest.Scratch) []statusdb.Spend {
 	n := 0
 	for _, tx := range txs {
 		n += len(tx.Bodies)
 	}
-	var spends []statusdb.Spend
-	if s != nil {
-		spends = s.Spends(n)
-	} else {
-		spends = make([]statusdb.Spend, 0, n)
-	}
+	spends := s.Spends(n)
 	for _, tx := range txs {
 		for bi := range tx.Bodies {
 			body := &tx.Bodies[bi]
@@ -295,14 +285,6 @@ func collectSpends(txs []*txmodel.EBVTx, s *ingest.Scratch) []statusdb.Spend {
 		}
 	}
 	return spends
-}
-
-// scratchSeen returns the reducer's duplicate-spend set.
-func scratchSeen(s *ingest.Scratch, n int) map[statusdb.Spend]struct{} {
-	if s != nil {
-		return s.Seen()
-	}
-	return make(map[statusdb.Spend]struct{}, n)
 }
 
 // reduceTx is the ordered reducer for one non-coinbase transaction
@@ -465,8 +447,8 @@ func (v *EBVValidator) ConnectPreverified(b *blockmodel.EBVBlock, pv *Preverifie
 	return v.ConnectPreverifiedIn(b, pv, nil)
 }
 
-// ConnectPreverifiedIn is ConnectPreverified with an optional ingest
-// scratch for the reduce's spend/probe/dedup buffers (see
+// ConnectPreverifiedIn is ConnectPreverified with the ingest scratch
+// that supplies the reduce's spend/probe/dedup buffers (see
 // ConnectBlockIn). Pipeline drivers pass the scratch the block was
 // decoded with.
 func (v *EBVValidator) ConnectPreverifiedIn(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) (*Breakdown, error) {
@@ -483,14 +465,18 @@ func (v *EBVValidator) ConnectPreverifiedIn(b *blockmodel.EBVBlock, pv *Preverif
 // connect is stage B proper: the ordered reduce over pv's verdicts
 // with the status database's batched probe as UV oracle, then the
 // bit-vector commit (paper §IV-E1), counted under Other. It consumes
-// pv.
+// pv. A nil s takes a pooled scratch for the call.
 func (v *EBVValidator) connect(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) (*Breakdown, error) {
 	defer pv.release()
+	if s == nil {
+		s = ingest.Get()
+		defer s.Release()
+	}
 	bd := &pv.bd
 	w := newStopwatch()
 	uv := v.probeUV(collectSpends(b.Txs[1:], s), s)
 	w.lap(&bd.UV)
-	err := reduceBlock(b, pv.slab.txs, uv, scratchSeen(s, len(uv.spends)))
+	err := reduceBlock(b, pv.slab.txs, uv, s.Seen())
 	w.lap(&bd.Other)
 	if err != nil {
 		return bd, err

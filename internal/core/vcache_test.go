@@ -218,83 +218,78 @@ func TestCachePoisoningRejectedIdentically(t *testing.T) {
 }
 
 // TestCacheMemoEquivalenceMatrix extends the PR-1 equivalence suite
-// across the 2x2 matrix of hash memoization {on, off} x cache state
-// {cold, mempool-warmed}: the cached sequential validator and the
+// across both cache states {cold, mempool-warmed}, with hash
+// memoization on as always: the cached sequential validator and the
 // cached parallel pipeline must accept/reject exactly the blocks the
 // uncached sequential validator does, with identical error text, in
 // every cell.
 func TestCacheMemoEquivalenceMatrix(t *testing.T) {
 	f := newFixture(t, 150)
-	defer txmodel.SetHashMemoization(true)
-	for _, memoOn := range []bool{true, false} {
-		for _, warm := range []bool{false, true} {
-			t.Run(fmt.Sprintf("memo=%v/warm=%v", memoOn, warm), func(t *testing.T) {
-				txmodel.SetHashMemoization(memoOn)
-				ref, refStatus := syncedEBV(t, f)
-				seqC, seqStatus := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
-				parC, parStatus := syncedEBV(t, f,
-					WithParallelValidation(4), WithVerificationCache(vcache.New(0)))
-				if warm {
-					warmFromMempool(t, seqC, f.lastEBV)
-					warmFromMempool(t, parC, f.lastEBV)
-				}
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			ref, refStatus := syncedEBV(t, f)
+			seqC, seqStatus := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
+			parC, parStatus := syncedEBV(t, f,
+				WithParallelValidation(4), WithVerificationCache(vcache.New(0)))
+			if warm {
+				warmFromMempool(t, seqC, f.lastEBV)
+				warmFromMempool(t, parC, f.lastEBV)
+			}
 
-				for _, c := range adversarialCases() {
-					blk := c.make(t, f)
-					if blk == nil {
-						continue
-					}
-					_, errRef := ref.ConnectBlock(blk)
-					_, errSeq := seqC.ConnectBlock(blk)
-					_, errPar := parC.ConnectBlock(blk)
-					if errRef == nil || errSeq == nil || errPar == nil {
-						t.Fatalf("case %s: ref=%v seq=%v par=%v (all must reject)", c.name, errRef, errSeq, errPar)
-					}
-					if errSeq.Error() != errRef.Error() || errPar.Error() != errRef.Error() {
-						t.Fatalf("case %s: error divergence:\n  ref: %v\n  seq: %v\n  par: %v",
-							c.name, errRef, errSeq, errPar)
-					}
+			for _, c := range adversarialCases() {
+				blk := c.make(t, f)
+				if blk == nil {
+					continue
 				}
+				_, errRef := ref.ConnectBlock(blk)
+				_, errSeq := seqC.ConnectBlock(blk)
+				_, errPar := parC.ConnectBlock(blk)
+				if errRef == nil || errSeq == nil || errPar == nil {
+					t.Fatalf("case %s: ref=%v seq=%v par=%v (all must reject)", c.name, errRef, errSeq, errPar)
+				}
+				if errSeq.Error() != errRef.Error() || errPar.Error() != errRef.Error() {
+					t.Fatalf("case %s: error divergence:\n  ref: %v\n  seq: %v\n  par: %v",
+						c.name, errRef, errSeq, errPar)
+				}
+			}
 
-				bdRef, err := ref.ConnectBlock(f.lastEBV)
-				if err != nil {
-					t.Fatalf("ref honest block: %v", err)
+			bdRef, err := ref.ConnectBlock(f.lastEBV)
+			if err != nil {
+				t.Fatalf("ref honest block: %v", err)
+			}
+			bdSeq, err := seqC.ConnectBlock(f.lastEBV)
+			if err != nil {
+				t.Fatalf("cached sequential honest block: %v", err)
+			}
+			bdPar, err := parC.ConnectBlock(f.lastEBV)
+			if err != nil {
+				t.Fatalf("cached parallel honest block: %v", err)
+			}
+			for name, bd := range map[string]*Breakdown{"seq": bdSeq, "par": bdPar} {
+				// Every input is probed exactly once; warmed runs hit on
+				// all of them.
+				if bd.CacheHits+bd.CacheMisses != bd.Inputs {
+					t.Fatalf("%s: probes %d+%d != inputs %d", name, bd.CacheHits, bd.CacheMisses, bd.Inputs)
 				}
-				bdSeq, err := seqC.ConnectBlock(f.lastEBV)
-				if err != nil {
-					t.Fatalf("cached sequential honest block: %v", err)
+				if warm && (bd.CacheHits != bd.Inputs || bd.CacheMisses != 0) {
+					t.Fatalf("%s: warmed block must hit on every input: %+v", name, bd)
 				}
-				bdPar, err := parC.ConnectBlock(f.lastEBV)
-				if err != nil {
-					t.Fatalf("cached parallel honest block: %v", err)
-				}
-				for name, bd := range map[string]*Breakdown{"seq": bdSeq, "par": bdPar} {
-					// Every input is probed exactly once; warmed runs hit on
-					// all of them.
-					if bd.CacheHits+bd.CacheMisses != bd.Inputs {
-						t.Fatalf("%s: probes %d+%d != inputs %d", name, bd.CacheHits, bd.CacheMisses, bd.Inputs)
-					}
-					if warm && (bd.CacheHits != bd.Inputs || bd.CacheMisses != 0) {
-						t.Fatalf("%s: warmed block must hit on every input: %+v", name, bd)
-					}
-				}
-				if bdRef.Inputs != bdSeq.Inputs || bdRef.Inputs != bdPar.Inputs {
-					t.Fatalf("input counts differ: %d/%d/%d", bdRef.Inputs, bdSeq.Inputs, bdPar.Inputs)
-				}
-				if refStatus.UnspentCount() != seqStatus.UnspentCount() ||
-					refStatus.UnspentCount() != parStatus.UnspentCount() {
-					t.Fatalf("state divergence: %d/%d/%d unspent",
-						refStatus.UnspentCount(), seqStatus.UnspentCount(), parStatus.UnspentCount())
-				}
-			})
-		}
+			}
+			if bdRef.Inputs != bdSeq.Inputs || bdRef.Inputs != bdPar.Inputs {
+				t.Fatalf("input counts differ: %d/%d/%d", bdRef.Inputs, bdSeq.Inputs, bdPar.Inputs)
+			}
+			if refStatus.UnspentCount() != seqStatus.UnspentCount() ||
+				refStatus.UnspentCount() != parStatus.UnspentCount() {
+				t.Fatalf("state divergence: %d/%d/%d unspent",
+					refStatus.UnspentCount(), seqStatus.UnspentCount(), parStatus.UnspentCount())
+			}
+		})
 	}
 }
 
 // BenchmarkEBVVerifyInput measures the kernel's per-input EV+SV step
-// in three configurations: uncached with memoization, warm
-// verified-proof cache (the relay steady state, expected 0 allocs/op),
-// and memoization disabled.
+// in two configurations: uncached, and warm verified-proof cache (the
+// relay steady state, expected 0 allocs/op).
 func BenchmarkEBVVerifyInput(b *testing.B) {
 	f := newFixture(b, 120)
 	blk := reencode(b, f.lastEBV)
@@ -327,18 +322,12 @@ func BenchmarkEBVVerifyInput(b *testing.B) {
 		}
 		run(b, v)
 	})
-	b.Run("memo-off", func(b *testing.B) {
-		defer txmodel.SetHashMemoization(true)
-		txmodel.SetHashMemoization(false)
-		v, _ := syncedEBV(b, f)
-		run(b, v)
-	})
 }
 
 // BenchmarkEBVDecodeValidateBlock measures the full decode→validate
 // path for one block (wire bytes through ValidateTx for every
-// transaction), cold vs warm cache vs memoization off, reporting
-// allocations and per-input time.
+// transaction), cold vs warm cache, reporting allocations and
+// per-input time.
 func BenchmarkEBVDecodeValidateBlock(b *testing.B) {
 	f := newFixture(b, 120)
 	raw := f.lastEBV.Encode(nil)
@@ -373,12 +362,6 @@ func BenchmarkEBVDecodeValidateBlock(b *testing.B) {
 	b.Run("warm-cache", func(b *testing.B) {
 		v, _ := syncedEBV(b, f, WithVerificationCache(vcache.New(0)))
 		warmFromMempool(b, v, f.lastEBV)
-		run(b, v)
-	})
-	b.Run("memo-off", func(b *testing.B) {
-		defer txmodel.SetHashMemoization(true)
-		txmodel.SetHashMemoization(false)
-		v, _ := syncedEBV(b, f)
 		run(b, v)
 	})
 }
